@@ -2,8 +2,8 @@
 
 All tensors are row-major ``numpy.float64`` arrays. The primitive set is
 fixed to what the recurrent optimizer and its training loss need: add, sub,
-mul (Hadamard), matmul, concat, slice, sigmoid, tanh, scale, sum and
-max-over-list. Every primitive accepts either plain arrays (untaped, fast
+mul (Hadamard), matmul, concat, slice, scale, sum, max-over-list and one
+fused LSTM cell. Every primitive accepts either plain arrays (untaped, fast
 path) or :class:`Var` handles bound to a :class:`Tape`; mixing the two lifts
 arrays to constants on the operand's tape.
 
@@ -26,8 +26,7 @@ OP_KINDS = frozenset(
         "matmul",
         "concat",
         "slice",
-        "sigmoid",
-        "tanh",
+        "lstm",
         "scale",
         "sum",
         "maxlist",
@@ -35,6 +34,11 @@ OP_KINDS = frozenset(
         "param",
     }
 )
+
+
+# Column blocks of the fused (in, 4H) gate matrices of the ``lstm`` primitive:
+# the three sigmoid gates first, then the tanh candidate.
+LSTM_GATES = ("i", "f", "o", "g")
 
 
 class ShapeError(ValueError):
@@ -163,7 +167,8 @@ def primitive_forward(kind: str, inputs: Sequence, **attrs):
     """Apply one primitive. Taped when any input is a :class:`Var`.
 
     ``scale`` takes ``factor``, ``concat`` takes ``axis``, ``slice`` takes
-    ``key`` (any basic-indexing key).
+    ``key`` (any basic-indexing key). ``lstm`` returns ``h'`` and ``c'``
+    stacked into one (2, N, H) array; see :func:`lstm`.
     """
     if kind not in OP_KINDS or kind in ("const", "param"):
         raise ValueError(f"unknown primitive kind {kind!r}")
@@ -195,15 +200,8 @@ def primitive_forward(kind: str, inputs: Sequence, **attrs):
         key = attrs["key"]
         out = np.asarray(a[key], dtype=np.float64)
         aux = (key, a.shape)
-    elif kind == "sigmoid":
-        (a,) = vals
-        t = np.exp(-np.abs(a))
-        out = np.where(a >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-        aux = out
-    elif kind == "tanh":
-        (a,) = vals
-        out = np.tanh(a)
-        aux = out
+    elif kind == "lstm":
+        out, aux = _lstm_forward(*vals)
     elif kind == "scale":
         (a,) = vals
         factor = float(attrs["factor"])
@@ -254,12 +252,72 @@ def slice_(a, key):
     return primitive_forward("slice", (a,), key=key)
 
 
-def sigmoid(a):
-    return primitive_forward("sigmoid", (a,))
+def lstm(s, h, c, wx, wh, b):
+    """One LSTM cell update as a single tape node; returns ``(h', c')``.
+
+    ``s`` is (N, in), ``h`` and ``c`` are (N, H); ``wx`` (in, 4H), ``wh``
+    (H, 4H) and ``b`` (1, 4H) hold the gates in :data:`LSTM_GATES` column
+    order. With ``pre = s wx + h wh + b`` split into gates i, f, o, g:
+    ``c' = sigmoid(f) c + sigmoid(i) tanh(g)`` and
+    ``h' = sigmoid(o) tanh(c')``. Taped and untaped calls run the same code.
+    """
+    hc = primitive_forward("lstm", (s, h, c, wx, wh, b))
+    return slice_(hc, 0), slice_(hc, 1)
 
 
-def tanh(a):
-    return primitive_forward("tanh", (a,))
+def _lstm_forward(s, h, c, wx, wh, b):
+    shapes_ok = (
+        s.ndim == 2 and c.ndim == 2 and h.shape == c.shape and s.shape[0] == c.shape[0]
+        and wx.shape == (s.shape[1], 4 * c.shape[1])
+        and wh.shape == (c.shape[1], 4 * c.shape[1])
+        and b.shape == (1, 4 * c.shape[1])
+    )
+    if not shapes_ok:
+        raise ShapeError(
+            f"lstm: incompatible shapes s {s.shape}, h {h.shape}, c {c.shape}, "
+            f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
+        )
+    n, hid = c.shape
+    gates = s @ wx
+    gates += h @ wh
+    gates += b
+    # Activations in place; sigmoid(z) = 0.5 + 0.5 tanh(z / 2) cannot overflow.
+    sig = gates[:, : 3 * hid]
+    sig *= 0.5
+    np.tanh(sig, out=sig)
+    sig *= 0.5
+    sig += 0.5
+    cand = gates[:, 3 * hid :]
+    np.tanh(cand, out=cand)
+    gi, gf, go = sig[:, :hid], sig[:, hid : 2 * hid], sig[:, 2 * hid :]
+    out = np.empty((2, n, hid))
+    h_new, c_new = out
+    np.multiply(gf, c, out=c_new)
+    np.multiply(gi, cand, out=h_new)  # h_new holds i*g until h' is written
+    c_new += h_new
+    tc = np.tanh(c_new)
+    np.multiply(go, tc, out=h_new)
+    return out, (gates, tc)
+
+
+def _lstm_backward(g, gates, tc, s, h, c, wx, wh):
+    """Adjoints of (s, h, c, wx, wh, b) from the stacked output adjoint g = (dh', dc')."""
+    hid = tc.shape[1]
+    gi, gf, go, cand = (gates[:, k * hid : (k + 1) * hid] for k in range(4))
+    dh_new, dc_new = g
+    dc_tot = dh_new * go
+    dc_tot *= 1.0 - tc * tc
+    dc_tot += dc_new
+    dpre = np.empty_like(gates)
+    np.multiply(dc_tot, cand, out=dpre[:, :hid])
+    np.multiply(dc_tot, c, out=dpre[:, hid : 2 * hid])
+    np.multiply(dh_new, tc, out=dpre[:, 2 * hid : 3 * hid])
+    np.multiply(dc_tot, gi, out=dpre[:, 3 * hid :])
+    sig = gates[:, : 3 * hid]
+    dpre[:, : 3 * hid] *= sig * (1.0 - sig)
+    dpre[:, 3 * hid :] *= 1.0 - cand * cand
+    return (dpre @ wx.T, dpre @ wh.T, dc_tot * gf, s.T @ dpre, h.T @ dpre,
+            dpre.sum(axis=0, keepdims=True))
 
 
 def scale(a, factor):
@@ -335,15 +393,13 @@ def backward(tape: Tape, output: Var) -> None:
                 offset += size
         elif kind == "slice":
             key, in_shape = node.aux
-            full = np.zeros(in_shape)
-            full[key] = g
-            send(ins[0], full)
-        elif kind == "sigmoid":
-            s = node.aux
-            send(ins[0], g * s * (1.0 - s))
-        elif kind == "tanh":
-            t = node.aux
-            send(ins[0], g * (1.0 - t * t))
+            if adj[ins[0]] is None:
+                adj[ins[0]] = np.zeros(in_shape)
+            adj[ins[0]][key] += g  # adjoint buffers are owned, never shared
+        elif kind == "lstm":
+            s, h, c, wx, wh, _ = (tape.nodes[i].value for i in ins)
+            for iid, contrib in zip(ins, _lstm_backward(g, *node.aux, s, h, c, wx, wh)):
+                send(iid, contrib)
         elif kind == "scale":
             send(ins[0], g * node.aux)
         elif kind == "sum":

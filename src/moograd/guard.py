@@ -104,11 +104,6 @@ def _guarded_loop(
                 f"{chosen_delta} > {decision.fallback_delta}"
             )
         record.meta["decisions"].append(decision)
-        direction_norm = (
-            float(np.linalg.norm(sol.combined))
-            if decision.chosen == "fallback"
-            else float(np.linalg.norm(g))
-        )
         record.rows.append(
             StepRow(
                 k=k,
@@ -120,7 +115,6 @@ def _guarded_loop(
                 wall_time=time.perf_counter() - t0,
             )
         )
-        record.meta.setdefault("chosen_direction_norms", []).append(direction_norm)
         z = z_next
         f_z_running = f_chosen
         if keep_iterates:
@@ -148,6 +142,12 @@ def gml2o_run(
     per-step batch (shared by base point and both candidates); analytic
     problems use exact losses with the base value carried from the previous
     step, costing exactly one extra vector evaluation pair per step.
+
+    Each row's ``direction_norm`` is the norm of the min-norm common-descent
+    direction of the step's gradient stack, whichever candidate won. Both
+    guarded runs record it: it is the criticality measure that criterion 11
+    and ``test_deterministic_guard_converges_on_quadratic`` read from
+    :func:`gml2o_deterministic_run`.
     """
 
     def grads_fn(k, z):

@@ -54,16 +54,6 @@ class LstmCellParams:
     hidden_width: int
     arrays: dict  # gate arrays keyed wx_i, wh_i, bx_i, bh_i, wx_f, ...
 
-    def validate(self) -> None:
-        shapes = cell_array_shapes(self.input_width, self.hidden_width)
-        for name, shape in shapes.items():
-            arr = self.arrays.get(name)
-            if arr is None:
-                raise ShapeError(f"cell missing array {name!r}")
-            value = arr.value if isinstance(arr, Var) else arr
-            if value.shape != shape:
-                raise ShapeError(f"cell array {name!r}: shape {value.shape} != {shape}")
-
 
 def param_array_shapes(m: int, hidden: int, out_width: int = 1) -> dict[str, tuple[int, int]]:
     """Full parameter layout for an M-objective optimizer of width ``hidden``."""
@@ -163,43 +153,38 @@ def preprocess_gradient(g: np.ndarray, p: float = 10.0) -> np.ndarray:
 
 def lstm_cell(s, state, params: LstmCellParams):
     """One LSTM update. Inputs may be arrays or tape Vars; output matches."""
-    params.validate()
     h, c = state
-    return _cell_forward(s, h, c, params.arrays.__getitem__)
+    return ad.lstm(s, h, c, *_fused_cell(params.arrays, ""))
 
 
-def _cell_forward(s, h, c, get):
-    def gate(name, act):
-        pre = ad.add(
-            ad.add(ad.matmul(s, get(f"wx_{name}")), get(f"bx_{name}")),
-            ad.add(ad.matmul(h, get(f"wh_{name}")), get(f"bh_{name}")),
-        )
-        return act(pre)
+def _fused_cell(arrays, prefix: str) -> tuple:
+    """Stack one cell's per-gate arrays into the ``(wx, wh, b)`` of ``ad.lstm``.
 
-    gi = gate("i", ad.sigmoid)
-    gf = gate("f", ad.sigmoid)
-    gg = gate("g", ad.tanh)
-    go = gate("o", ad.sigmoid)
-    c_new = ad.add(ad.mul(gf, c), ad.mul(gi, gg))
-    h_new = ad.mul(go, ad.tanh(c_new))
-    return h_new, c_new
+    Built with taped ``concat``/``add`` when the arrays are Vars, so their
+    gradients flow back to the per-gate parameters.
+    """
+    stack = lambda kind: ad.concat([arrays[f"{prefix}{kind}_{k}"] for k in ad.LSTM_GATES], axis=1)
+    return stack("wx"), stack("wh"), ad.add(stack("bx"), stack("bh"))
 
 
-def _direction_core(y_rows: np.ndarray, state: Ml2oState, arrays) -> tuple:
+def _fuse(arrays, m: int) -> tuple:
+    """Fused cells and head of an M-objective optimizer, built once per window or call."""
+    specific = [_fused_cell(arrays, f"specific{i}.") for i in range(m)]
+    return specific, _fused_cell(arrays, "shared."), arrays["head.w"], arrays["head.b"]
+
+
+def _direction_core(y_rows: np.ndarray, state: Ml2oState, fused) -> tuple:
     """Shared forward pass; returns ((N,1) update column, new state)."""
-    m, _ = y_rows.shape
-    feats = []
+    specific, shared, head_w, head_b = fused
     spec_h, spec_c = [], []
-    for i in range(m):
+    for i, cell in enumerate(specific):
         s = preprocess_gradient(y_rows[i])
-        get = lambda key, i=i: arrays[f"specific{i}.{key}"]
-        h_new, c_new = _cell_forward(s, state.spec_h[i], state.spec_c[i], get)
-        feats.append(h_new)
+        h_new, c_new = ad.lstm(s, state.spec_h[i], state.spec_c[i], *cell)
         spec_h.append(h_new)
         spec_c.append(c_new)
-    s_sh = ad.concat(feats, axis=1)
-    h_sh, c_sh = _cell_forward(s_sh, state.shared_h, state.shared_c, lambda key: arrays[f"shared.{key}"])
-    g_col = ad.add(ad.matmul(h_sh, arrays["head.w"]), arrays["head.b"])
+    s_sh = ad.concat(spec_h, axis=1)
+    h_sh, c_sh = ad.lstm(s_sh, state.shared_h, state.shared_c, *shared)
+    g_col = ad.add(ad.matmul(h_sh, head_w), head_b)
     return g_col, Ml2oState(spec_h, spec_c, h_sh, c_sh)
 
 
@@ -212,7 +197,7 @@ def ml2o_direction(y_rows: np.ndarray, state: Ml2oState, params: Ml2oParams):
     y_rows = np.asarray(y_rows, dtype=np.float64)
     if y_rows.ndim != 2 or y_rows.shape[0] != params.m:
         raise ShapeError(f"expected ({params.m}, N) gradient stack, got {y_rows.shape}")
-    g_col, new_state = _direction_core(y_rows, state, params.arrays)
+    g_col, new_state = _direction_core(y_rows, state, _fuse(params.arrays, params.m))
     return np.asarray(g_col).reshape(-1), new_state
 
 
@@ -258,12 +243,13 @@ def unroll_window(problem, x_col, state: Ml2oState, arrays, window: int,
     plain arrays (evaluation) and tape Vars (training).
     """
     alpha_at = alpha if callable(alpha) else (lambda k: alpha)
+    fused = _fuse(arrays, len(state.spec_h))
     f_prev = problem.eval_terms(x_col)
     losses = []
     x = x_col
     for j in range(window):
         y_rows = draw_fn(j, _value(x).reshape(-1))
-        g_col, state = _direction_core(np.asarray(y_rows, dtype=np.float64), state, arrays)
+        g_col, state = _direction_core(np.asarray(y_rows, dtype=np.float64), state, fused)
         x = ad.sub(x, ad.scale(g_col, float(alpha_at(k_offset + j + 1))))
         f_curr = problem.eval_terms(x)
         losses.append(meta_loss(f_curr, f_prev))

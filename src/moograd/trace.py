@@ -9,6 +9,15 @@ import numpy as np
 
 @dataclass
 class StepRow:
+    """One step of a run.
+
+    ``direction_norm`` is the norm of the direction the method computed. In
+    the guarded runs it is always the min-norm common-descent norm of the
+    step's gradient stack, even on steps the learned candidate won: the
+    criticality measure that criterion 11 and
+    ``test_deterministic_guard_converges_on_quadratic`` read.
+    """
+
     k: int
     losses: np.ndarray
     direction_norm: float

@@ -12,8 +12,6 @@ def scalar_store(**values):
 
 
 def test_primitive_trivia():
-    assert float(ad.sigmoid(np.asarray(0.0))) == 0.5
-    assert float(ad.tanh(np.asarray(0.0))) == 0.0
     v = np.array([[1.0], [2.0], [3.0]])
     assert np.array_equal(ad.matmul(np.eye(3), v), v)
 
@@ -23,6 +21,9 @@ def test_shape_errors_name_the_kind():
         ad.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ad.ShapeError, match="add"):
         ad.add(np.zeros((2, 3)), np.zeros((3, 2)))
+    with pytest.raises(ad.ShapeError, match="lstm"):
+        ad.lstm(np.zeros((2, 1)), np.zeros((2, 3)), np.zeros((2, 3)),
+                np.zeros((1, 12)), np.zeros((3, 12)), np.zeros((1, 3)))
 
 
 def test_square_gradient():
@@ -76,7 +77,7 @@ def test_backward_linearity():
         return {k: v.copy() for k, v in store.grads.items()}
 
     f = lambda a, b: ad.sum_(ad.mul(a, a))
-    g = lambda a, b: ad.sum_(ad.mul(ad.tanh(a), ad.sigmoid(b)))
+    g = lambda a, b: ad.sum_(ad.mul(ad.mul(a, b), b))
     both = grads_of(lambda a, b: ad.add(f(a, b), g(a, b)))
     gf, gg = grads_of(f), grads_of(g)
     for k in both:
@@ -115,21 +116,21 @@ def test_row_bias_broadcast_backward():
 
 
 def _random_lstm_loss(seed):
-    """Small taped LSTM-style scalar with 4 parameter arrays."""
+    """Two chained steps of a taped LSTM cell: a scalar of 4 parameter arrays."""
     rng = np.random.default_rng(seed)
     store = ad.ParamStore()
-    store.add("w", rng.normal(size=(2, 3)))
-    store.add("u", rng.normal(size=(3, 3)))
-    store.add("b", rng.normal(size=(1, 3)))
+    store.add("w", rng.normal(size=(2, 12)))
+    store.add("u", rng.normal(size=(3, 12)))
+    store.add("b", rng.normal(size=(1, 12)))
     store.add("h0", rng.normal(size=(4, 3)))
-    s = rng.normal(size=(4, 2))
+    s1, s2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
 
     def build(st):
         tape = ad.Tape()
         w, u, b, h0 = (tape.param(st, n) for n in ("w", "u", "b", "h0"))
-        gate = ad.sigmoid(ad.add(ad.add(ad.matmul(s, w), b), ad.matmul(ad.tanh(h0), u)))
-        cell = ad.mul(gate, ad.tanh(ad.matmul(s, w)))
-        return tape, ad.sum_(ad.mul(cell, cell))
+        h1, c1 = ad.lstm(s1, h0, np.zeros((4, 3)), w, u, b)
+        h2, c2 = ad.lstm(s2, h1, c1, w, u, b)
+        return tape, ad.add(ad.sum_(ad.mul(h2, h2)), ad.sum_(c2))
 
     return store, build
 
@@ -160,16 +161,21 @@ def random_primitive_graph(seed):
     store.add("b", rng.normal(size=(n, h)))
     store.add("w", rng.normal(size=(h, h)))
     store.add("bias", rng.normal(size=(1, h)))
+    store.add("wx4", rng.normal(size=(h, 4 * h)))
+    store.add("wh4", rng.normal(size=(h, 4 * h)))
+    store.add("b4", rng.normal(size=(1, 4 * h)))
 
     op_sequence = rng.integers(0, 7, size=4)
 
     def build(st):
         tape = ad.Tape()
-        a, b, w, bias = (tape.param(st, k) for k in ("a", "b", "w", "bias"))
+        a, b, w, bias, wx4, wh4, b4 = (
+            tape.param(st, k) for k in ("a", "b", "w", "bias", "wx4", "wh4", "b4")
+        )
         x = ad.add(ad.matmul(a, w), bias)
         ops = [
-            lambda v: ad.sigmoid(v),
-            lambda v: ad.tanh(v),
+            lambda v: ad.mul(v, v),
+            lambda v: ad.lstm(v, b, v, wx4, wh4, b4)[0],
             lambda v: ad.mul(v, b),
             lambda v: ad.add(v, b),
             lambda v: ad.sub(v, b),
@@ -202,6 +208,53 @@ def test_random_graph_gradients_match_fd_100_seeds(block):
         g_fd = np.concatenate([g_fd_map[k].ravel() for k in sorted(g_fd_map)])
         rel = np.linalg.norm(g_ad - g_fd) / max(np.linalg.norm(g_fd), 1e-12)
         assert rel < 1e-4, f"seed {seed}: rel err {rel}"
+
+
+def _lstm_inputs(seed, n, in_w, hid, bias_scale=1.0):
+    rng = np.random.default_rng(seed)
+    store = ad.ParamStore()
+    for name, shape in (("s", (n, in_w)), ("h", (n, hid)), ("c", (n, hid)),
+                        ("wx", (in_w, 4 * hid)), ("wh", (hid, 4 * hid))):
+        store.add(name, rng.normal(size=shape))
+    store.add("b", bias_scale * rng.normal(size=(1, 4 * hid)))
+    return store, rng.normal(size=(n, hid)), rng.normal(size=(n, hid))
+
+
+@pytest.mark.parametrize(
+    "n, in_w, hid, bias_scale",
+    [(5, 3, 4, 1.0), (5, 3, 4, 20.0), (1, 2, 3, 1.0)],
+    ids=["random", "saturated", "single_row"],
+)
+def test_lstm_gradient_matches_fd_all_inputs(n, in_w, hid, bias_scale):
+    store, r_h, r_c = _lstm_inputs(11, n, in_w, hid, bias_scale)
+    names = ("s", "h", "c", "wx", "wh", "b")
+
+    def build(st):
+        tape = ad.Tape()
+        h_new, c_new = ad.lstm(*(tape.param(st, k) for k in names))
+        return tape, ad.add(ad.sum_(ad.mul(h_new, r_h)), ad.sum_(ad.mul(c_new, r_c)))
+
+    if bias_scale > 1.0:  # most gates saturated: sigmoid(4) = 0.982, tanh(4) = 0.9993
+        p = store.params
+        pre = p["s"] @ p["wx"] + p["h"] @ p["wh"] + p["b"]
+        assert np.mean(np.abs(pre) > 4.0) > 0.5
+    tape, out = build(store)
+    ad.backward(tape, out)
+    g_fd = ad.finite_diff_gradient(lambda st: float(build(st)[1].value), store, eps=1e-6)
+    for k in names:
+        assert np.any(store.grads[k] != 0.0), k
+        err = np.linalg.norm(store.grads[k] - g_fd[k]) / max(np.linalg.norm(g_fd[k]), 1e-12)
+        assert err < 1e-7, f"{k}: rel err {err}"
+
+
+def test_lstm_taped_and_untaped_outputs_bitwise_equal():
+    store, _, _ = _lstm_inputs(12, 6, 3, 4)
+    names = ("s", "h", "c", "wx", "wh", "b")
+    plain = ad.lstm(*(store.params[k] for k in names))
+    tape = ad.Tape()
+    taped = ad.lstm(*(tape.param(store, k) for k in names))
+    for p, v in zip(plain, taped):
+        assert isinstance(v, ad.Var) and np.array_equal(p, v.value)
 
 
 def test_finite_diff_basics():
