@@ -71,7 +71,7 @@ def _guarded_loop(
     check_compatible(params, problem)
     z = np.asarray(x0, dtype=np.float64).copy()
     state = init_state(params.m, params.hidden, problem.dim)
-    record = RunRecord(meta={"eval_count": 0, "decisions": []})
+    record = RunRecord(meta={"eval_count": 0, "decisions": [], "nonconverged_solves": 0})
     if keep_iterates:
         record.iterates.append(z.copy())
     f_z_running = None
@@ -82,6 +82,7 @@ def _guarded_loop(
         g, state = ml2o_direction(y_rows, state, params)
         cand_learned = z - alpha * g
         sol = solve_min_norm(y_rows)
+        record.meta["nonconverged_solves"] += not sol.converged
         cand_fallback = z + alpha * sol.descent_direction
 
         evaluator, f_z = evaluator_fn(k)

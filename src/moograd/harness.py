@@ -362,6 +362,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
                     "content_hash": csv_content_hash(lines),
                     "final_losses": [float(v) for v in res.record.final_losses],
                     "final_x": [float(v) for v in res.record.meta["final_x"]],
+                    "nonconverged_solves": res.record.meta["nonconverged_solves"],
                 }
             )
         if write_front:

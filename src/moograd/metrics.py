@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
 from .minnorm import criticality_measure
 from .trace import RunRecord
 
@@ -45,12 +44,30 @@ def _as_value_matrix(points) -> np.ndarray:
     return np.asarray([np.asarray(p.values, dtype=np.float64) for p in points])
 
 
+# Rows per block of the pairwise dominance compare: bounds its n x block x M
+# temporaries for large populations.
+_DOMINANCE_BLOCK = 256
+
+
+def _nondominated_mask(values: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``values`` that no other row dominates.
+
+    Equal rows do not dominate each other, so duplicates are all kept.
+    """
+    keep = np.empty(len(values), dtype=bool)
+    for lo in range(0, len(values), _DOMINANCE_BLOCK):
+        block = values[None, lo : lo + _DOMINANCE_BLOCK]
+        le = np.all(values[:, None] <= block, axis=2)  # [j, i]: row j <= row lo + i
+        lt = np.any(values[:, None] < block, axis=2)
+        keep[lo : lo + _DOMINANCE_BLOCK] = ~np.any(le & lt, axis=0)
+    return keep
+
+
 def extract_front(points):
     """Return exactly the points not dominated by any other, in input order."""
     if len(points) == 0:
         return points[:0] if isinstance(points, np.ndarray) else []
-    values = _as_value_matrix(points)
-    mask = accel.nondominated_mask(np.ascontiguousarray(values))
+    mask = _nondominated_mask(_as_value_matrix(points))
     if isinstance(points, np.ndarray):
         return points[mask]
     return [p for p, keep in zip(points, mask) if keep]

@@ -1,10 +1,12 @@
 """Min-norm-over-simplex subproblem and the common-descent direction.
 
 Given a stack of per-objective gradient rows W (M x N), solve
-``min_{lam in simplex} |W' lam|^2`` with Frank-Wolfe on the M x M Gram
-matrix. ``combined`` is ``W' lam`` (the convex combination of the rows);
-``descent_direction`` is its negation, and every optimizer in this package
-updates ``x <- x + alpha * descent_direction``.
+``min_{lam in simplex} |W' lam|^2`` exactly with an active-set method on the
+M x M Gram matrix, in the style of Wolfe's min-norm-point algorithm (Wolfe
+1976, "Finding the nearest point in a polytope"). ``combined`` is ``W' lam``
+(the convex combination of the rows); ``descent_direction`` is its negation,
+and every optimizer in this package updates
+``x <- x + alpha * descent_direction``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
 from .autodiff import all_finite
 
 
@@ -35,16 +36,95 @@ class MinNormSolution:
     combined: np.ndarray         # W' lam, shape (N,)
     descent_direction: np.ndarray  # -combined
     dual_norm_sq: float          # |W' lam|^2
-    gap: float                   # Frank-Wolfe duality gap at exit
-    iterations: int
-    converged: bool
+    gap: float                   # simplex gap 2 (lam' G lam - min_j (G lam)_j) of lam
+    iterations: int              # active-set (major) iterations
+    converged: bool              # gap <= tol
+
+
+def _affine_minimizer(gram, active):
+    """Weights summing to one that minimise ``|sum_k x_k w_{active[k]}|^2``.
+
+    This is the KKT system of the equality-constrained problem with the
+    multiplier eliminated: relative to the base row ``a = active[0]`` the
+    offsets ``t`` solve ``D t = G_aa - G_ia`` with
+    ``D_ij = G_ij - G_ia - G_aj + G_aa``, which is positive definite while the
+    active rows are affinely independent. Returns None when they are not.
+    """
+    a = active[0]
+    if len(active) == 1:
+        return [1.0]
+    gaa = gram[a][a]
+    if len(active) == 2:  # the closed form of the edge
+        b = active[1]
+        denom = gaa - 2.0 * gram[a][b] + gram[b][b]
+        if denom <= 0.0:
+            return None
+        t = (gaa - gram[a][b]) / denom
+        return [1.0 - t, t]
+    rest = active[1:]
+    d = [[gram[i][j] - gram[i][a] - gram[a][j] + gaa for j in rest] for i in rest]
+    try:
+        t = np.linalg.solve(d, [gaa - gram[i][a] for i in rest]).tolist()
+    except np.linalg.LinAlgError:
+        return None
+    return [1.0 - sum(t)] + t
+
+
+def _active_set(gram, tol, max_iter):
+    """Wolfe-style active-set solve of ``min lam' G lam`` over the simplex.
+
+    ``gram`` is a list of rows: M is a handful of objectives, so Python floats
+    beat numpy's per-call overhead here. Each major iteration adds the vertex
+    with the smallest ``(G lam)_j`` and moves to the affine minimiser of the
+    active set; minor iterations step back along the segment to the first
+    weight that reaches zero and drop it. Stops when the gap is at most
+    ``tol``, after ``max_iter`` major iterations, or when a major iteration no
+    longer lowers the objective (the working precision is reached).
+    Returns ``(lam, lam' G lam, gap, iterations)``.
+    """
+    m = len(gram)
+    j = min(range(m), key=lambda i: gram[i][i])
+    active, weights = [j], [1.0]
+    g = gram[j]  # G lam, by symmetry of G
+    obj = g[j]
+    it = 0
+    for it in range(1, max_iter + 1):
+        j = min(range(m), key=g.__getitem__)
+        if 2.0 * (obj - g[j]) <= tol:
+            break
+        cand, cur = active + [j], weights + [0.0]
+        while True:
+            x = _affine_minimizer(gram, cand)
+            if x is None or min(x) > 0.0:
+                break
+            theta, out = min(
+                (c / (c - v) if c > v else 0.0, k)
+                for k, (c, v) in enumerate(zip(cur, x))
+                if v <= 0.0
+            )
+            cur = [c + theta * (v - c) for c, v in zip(cur, x)]
+            cur[out] = 0.0
+            cand = [i for i, c in zip(cand, cur) if c > 0.0]
+            cur = [c for c in cur if c > 0.0]
+        if x is None:
+            break
+        g_new = [sum(gram[i][k] * v for i, v in zip(cand, x)) for k in range(m)]
+        obj_new = sum(g_new[i] * v for i, v in zip(cand, x))
+        if not obj_new < obj:
+            break
+        active, weights, g, obj = cand, x, g_new, obj_new
+    lam = np.zeros(m)
+    lam[active] = weights
+    return lam, obj, 2.0 * (obj - min(g)), it
 
 
 def solve_min_norm(w, tol: float = 1e-10, max_iter: int | None = None) -> MinNormSolution:
     """Min-norm convex combination of the rows of ``w``.
 
-    Never fails silently: if the gap is still above ``tol`` after
-    ``max_iter`` passes the solution is returned with ``converged=False``.
+    Never fails silently: if the gap of the returned weights is above
+    ``tol`` (after ``max_iter`` major iterations, default ``100 * M``, or at
+    the limit of working precision) the solution is returned with
+    ``converged=False``.
     """
     w = validate_gradient_matrix(w)
     if tol <= 0:
@@ -54,17 +134,16 @@ def solve_min_norm(w, tol: float = 1e-10, max_iter: int | None = None) -> MinNor
         max_iter = 100 * m
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    gram = np.ascontiguousarray(w @ w.T)
-    lam, gap, iters, converged = accel.fw_min_norm(gram, float(tol), int(max_iter))
+    lam, obj, gap, iters = _active_set((w @ w.T).tolist(), float(tol), int(max_iter))
     combined = w.T @ lam
     return MinNormSolution(
         weights=lam,
         combined=combined,
         descent_direction=-combined,
-        dual_norm_sq=float(lam @ gram @ lam),
-        gap=float(gap),
-        iterations=int(iters),
-        converged=bool(converged),
+        dual_norm_sq=obj,
+        gap=gap,
+        iterations=iters,
+        converged=bool(gap <= tol),
     )
 
 

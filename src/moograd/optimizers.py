@@ -245,10 +245,11 @@ def run_steps(
     """Drive a step function for ``steps`` iterations, recording the trace.
 
     Each row holds the losses at the new iterate, so the driver performs one
-    vector evaluation per step.
+    vector evaluation per step. ``meta["nonconverged_solves"]`` counts the
+    steps whose min-norm solve reported ``converged=False``.
     """
     state = OptimizerState(x=np.asarray(x0, dtype=np.float64).copy())
-    record = RunRecord(meta={"eval_count": 0})
+    record = RunRecord(meta={"eval_count": 0, "nonconverged_solves": 0})
     if keep_iterates:
         record.iterates.append(state.x.copy())
     for _ in range(steps):
@@ -256,6 +257,7 @@ def run_steps(
         state, info = step_fn(state, rng)
         losses = problem.eval(state.x)
         record.meta["eval_count"] += 1
+        record.meta["nonconverged_solves"] += info.solver_converged is False
         record.rows.append(
             StepRow(
                 k=state.k - 1,

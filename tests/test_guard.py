@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from moograd import guard, minnorm, optimizers
 from moograd.guard import GuardDecision, gml2o_deterministic_run, gml2o_run, guard_select
 from moograd.ml2o import init_params
 from moograd.optimizers import (
@@ -124,6 +127,29 @@ def test_guard_overhead_one_extra_eval_pair_per_step():
     # (base-point values are carried over), plus the initial base evaluation
     assert plain.meta["eval_count"] == steps
     assert guarded.meta["eval_count"] == 2 * steps + 1
+    assert plain.meta["nonconverged_solves"] == guarded.meta["nonconverged_solves"] == 0
+
+
+def test_nonconverged_solves_are_tallied(monkeypatch):
+    calls = []
+
+    def every_other_fails(w):
+        calls.append(None)
+        return dataclasses.replace(minnorm.solve_min_norm(w), converged=len(calls) % 2 == 0)
+
+    monkeypatch.setattr(guard, "solve_min_norm", every_other_fails)
+    monkeypatch.setattr(optimizers, "solve_min_norm", every_other_fails)
+    prob = make_quadratic_pair(3, seed=5, noise_sigma=0.1)
+    params = init_params(2, 4, seed=1)
+    sched = StepSchedule("constant", 0.2)
+    samp = SampleSchedule(2, 0.1)
+    x0 = prob.initial_point(np.random.default_rng(0))
+    guarded = gml2o_run(prob, params, sched, samp, 9, x0, np.random.default_rng(1))
+    assert guarded.meta["nonconverged_solves"] == 5
+    calls.clear()
+    step = lambda st, r: dssmg_step(prob, st, sched, samp, r)
+    plain = run_steps(prob, step, x0, 9, np.random.default_rng(1))
+    assert plain.meta["nonconverged_solves"] == 5
 
 
 def test_guarded_run_on_minibatch_problem_uses_guard_batches():

@@ -74,6 +74,7 @@ def test_run_experiment_outputs_and_manifest(tmp_path):
         assert lines[0] == "k,loss_1,loss_2,direction_norm,alpha,n_samples,guard_choice,wall_time"
         assert len(lines) == 1 + entry["rows"] == 1 + 12
         assert hash_csv_file(path) == entry["content_hash"]
+        assert entry["nonconverged_solves"] == 0
         ks = [int(line.split(",")[0]) for line in lines[1:]]
         assert ks == sorted(set(ks))
 

@@ -49,6 +49,32 @@ def test_extract_front_matches_bruteforce_and_is_stable():
     assert [p.source for p in fr_pts] == brute_front(vals)
 
 
+def test_nondominated_mask_basics():
+    pts = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    front = extract_front([ObjectivePoint(v, i) for i, v in enumerate(pts)])
+    assert [p.source for p in front] == [0, 1, 3]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_extract_front_matches_double_loop_with_ties_and_duplicates(m):
+    rng = np.random.default_rng(m)
+    for n in (1, 7, 300, 600):  # 600 spans more than one block of the pairwise compare
+        vals = rng.integers(0, 6, size=(n, m)).astype(float)  # coarse grid: many ties
+        vals[rng.integers(0, n, size=n // 5)] = vals[0]  # exact duplicates
+        keep = []
+        for i in range(n):
+            dominated = False
+            for j in range(n):
+                if all(vals[j] <= vals[i]) and any(vals[j] < vals[i]):
+                    dominated = True
+                    break
+            if not dominated:
+                keep.append(i)
+        pts = [ObjectivePoint(v, i) for i, v in enumerate(vals)]
+        assert [p.source for p in extract_front(pts)] == keep
+        assert np.array_equal(extract_front(vals), vals[keep])
+
+
 def test_extract_front_idempotent():
     rng = np.random.default_rng(1)
     vals = rng.uniform(0, 1, size=(150, 3))
