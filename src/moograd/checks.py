@@ -39,7 +39,7 @@ from .optimizers import (
     run_steps,
     sample_size,
 )
-from .problems import make_quadratic_pair, make_toy_mtl
+from .problems import QuadraticPair, make_quadratic_pair, make_toy_mtl
 from . import autodiff as ad
 
 # Training recipe shared by the learned-optimizer criteria.
@@ -56,6 +56,7 @@ TRAIN_RECIPE = dict(
 N_TRAIN_SEEDS = 10
 VALIDATION_PROBLEM_SEED = 91000
 COMPARISON_PROBLEM_SEED = 60000
+CURVED_PROBLEM_SEED = 20240113
 ML2O_RUN_ALPHA = 0.35
 MGDA_RUN_ALPHA = 0.01
 
@@ -488,6 +489,36 @@ def check_12_run_determinism(ctx):
     return passed, f"CSV bytes identical after wall-time exclusion: {same}; manifest hashes equal: {hashes_equal}"
 
 
+def random_spd(rng: np.random.Generator, dim: int, low: float, high: float) -> np.ndarray:
+    """Symmetric positive definite matrix with eigenvalues drawn U[low, high]."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    a = (q * rng.uniform(low, high, dim)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def check_13_curved_guard_convergence(ctx):
+    """Exact-gradient guarded runs drive the direction norm below 1e-4 under real curvature."""
+    params = ctx.selected_h8()
+    good = 0
+    worst_k = 0
+    for seed in range(10):
+        rng = np.random.default_rng(CURVED_PROBLEM_SEED + seed)
+        c1, c2 = rng.uniform(-1.0, 1.0, (2, 8))
+        a1, a2 = random_spd(rng, 8, 0.1, 1.0), random_spd(rng, 8, 0.1, 1.0)  # L <= 1
+        prob = QuadraticPair(c1, c2, a1, a2, domain=(-1.0, 1.0))
+        x0 = prob.initial_point(harness.derive_rng(seed, 0, harness.PURPOSE_INIT))
+        rec = gml2o_deterministic_run(prob, params, alpha=1.0, steps=500, x0=x0, keep_iterates=False)
+        norms = np.array([row.direction_norm for row in rec.rows])
+        hit = np.nonzero(norms < 1e-4)[0]
+        if hit.size:
+            good += 1
+            worst_k = max(worst_k, int(hit[0]) + 1)
+    return good == 10, (
+        f"{good}/10 seeds with curvature eigenvalues in [0.1, 1] reached |d(z_k)| < 1e-4 "
+        f"within 500 steps (worst first hit: step {worst_k})"
+    )
+
+
 CHECKS = [
     (1, "min-norm oracle equivalence", check_1_min_norm_oracles),
     (2, "descent invariant", check_2_descent_invariant),
@@ -501,6 +532,7 @@ CHECKS = [
     (10, "guarded optimizer on the MTL task", check_10_guarded_mtl),
     (11, "deterministic guard convergence", check_11_deterministic_guard_convergence),
     (12, "run determinism", check_12_run_determinism),
+    (13, "guarded convergence under curvature", check_13_curved_guard_convergence),
 ]
 
 

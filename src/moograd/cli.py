@@ -37,7 +37,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default=None, help="override the config's output directory")
         if seeds:
             p.add_argument("--seeds", default=None, help="comma-separated seed override")
-        p.add_argument("--threads", type=int, default=1, help="parallel (seed, member) runs")
 
     add_common(sub.add_parser("run", help="execute a seeded experiment"))
     add_common(sub.add_parser("front", help="population run emitting Pareto front CSVs"))
@@ -63,9 +62,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _apply_overrides(_load_config(args.config), args)
             if args.command == "front" and not cfg.get("population"):
                 raise ConfigError(["population: required for the front subcommand"])
-            results = run_experiment(
-                cfg, out_dir=args.out, threads=args.threads, write_front=args.command == "front"
-            )
+            results = run_experiment(cfg, out_dir=args.out, write_front=args.command == "front")
             print(f"wrote {len(results)} run(s) to {args.out or cfg['outputs']}")
         elif args.command == "train-ml2o":
             cfg = _load_config(args.config)

@@ -5,10 +5,13 @@ seeds and an optional population of start points. Every (seed, member) run
 owns independent RNG streams derived as
 ``SeedSequence(seed, spawn_key=(member, purpose))`` with purposes
 0 = initial point, 1 = gradient draws, 2 = guard batches, so runs are
-deterministic and freely parallel. Outputs are one CSV per run plus a
-manifest sufficient to re-run the experiment exactly; CSV floats carry 17
-significant digits and the manifest stores a content hash computed with the
-wall-time column blanked (timestamps are excluded from determinism checks).
+deterministic and independent of each other. The min-norm methods (mgda,
+smg, dssmg) step every (seed, member) run of a config together as one
+(P, N) array; each run's CSV is byte-identical to running it alone. Outputs
+are one CSV per run plus a manifest sufficient to re-run the experiment
+exactly; CSV floats carry 17 significant digits and the manifest stores a
+content hash computed with the wall-time column blanked (timestamps are
+excluded from determinism checks).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import inspect
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +57,6 @@ def derive_rng(seed: int, member: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(member, purpose)))
 
 
-_SCALARIZED = {"sgd", "momentum", "adam", "rmsprop", "adadelta"}
 _OPTIMIZER_PARAMS: dict[str, set[str]] = {
     "mgda": set(),
     "smg": set(),
@@ -190,17 +191,11 @@ def validate_run_config(cfg: dict) -> list[str]:
 
 
 def _build_step_fn(name, problem, params, schedule, samples, ml2o_params):
-    if name == "mgda":
-        return lambda st, rng: opt.mgda_step(problem, st, schedule)
-    if name == "smg":
-        return lambda st, rng: opt.smg_step(problem, st, schedule, rng)
-    if name == "dssmg":
-        return lambda st, rng: opt.dssmg_step(problem, st, schedule, samples, rng)
     if name == "moco":
         return lambda st, rng: opt.moco_like_step(problem, st, schedule, rng, **params)
     if name == "composite":
         return lambda st, rng: opt.composite_weight_step(problem, st, schedule, rng, **params)
-    if name in _SCALARIZED:
+    if name in opt.SCALARIZED_RULES:
         return lambda st, rng: opt.scalarized_step(problem, st, schedule, rng, rule=name, **params)
     if name == "ml2o":
         exact = bool(params.get("exact", False))
@@ -230,6 +225,19 @@ class RunResult:
     seed: int
     member: int | None
     record: RunRecord
+
+
+def _run_population(cfg, problem, schedule, samples, tasks) -> list[RunResult]:
+    """Every (seed, member) run of a min-norm config, stepped as one population."""
+    draws, x0s = [], []
+    for seed, member in tasks:
+        mb = 0 if member is None else member
+        x0s.append(problem.initial_point(derive_rng(seed, mb, PURPOSE_INIT)))
+        draws.append(derive_rng(seed, mb, PURPOSE_DRAWS))
+    records = opt.run_population(
+        problem, cfg["optimizer"]["name"], np.array(x0s), cfg["steps"], schedule, draws, samples
+    )
+    return [RunResult(seed, member, rec) for (seed, member), rec in zip(tasks, records)]
 
 
 def _run_single(cfg, problem, schedule, samples, ml2o_params, seed, member) -> RunResult:
@@ -272,28 +280,29 @@ def _csv_lines(record: RunRecord, m: int) -> list[str]:
         + [f"loss_{i + 1}" for i in range(m)]
         + ["direction_norm", "alpha", "n_samples", "guard_choice", "wall_time"]
     )
+    # one %-format per row: "%.17g" % v is format(v, ".17g"), "%d" and "%s" of an int are str()
+    row_format = "%d," + "%.17g," * (m + 2) + "%s,%s,%.6g"
     lines = [",".join(header)]
     for row in record.rows:
-        cells = [str(row.k)]
-        cells += [f"{v:.17g}" for v in row.losses]
-        cells.append(f"{row.direction_norm:.17g}")
-        cells.append(f"{row.alpha:.17g}")
-        cells.append("" if row.n_samples is None else str(row.n_samples))
-        cells.append("" if row.guard_choice is None else row.guard_choice)
-        cells.append(f"{row.wall_time:.6g}")
-        lines.append(",".join(cells))
+        lines.append(
+            row_format
+            % (
+                row.k,
+                *row.losses,
+                row.direction_norm,
+                row.alpha,
+                "" if row.n_samples is None else row.n_samples,
+                "" if row.guard_choice is None else row.guard_choice,
+                row.wall_time,
+            )
+        )
     return lines
 
 
 def csv_content_hash(lines: list[str]) -> str:
     """SHA-256 of the rows with the trailing wall-time cell blanked."""
-    digest = hashlib.sha256()
-    for line in lines:
-        cells = line.split(",")
-        cells[-1] = ""
-        digest.update(",".join(cells).encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
+    body = "".join(line[: line.rfind(",") + 1] + "\n" for line in lines)
+    return hashlib.sha256(body.encode()).hexdigest()
 
 
 def hash_csv_file(path: str) -> str:
@@ -310,7 +319,13 @@ def _write_manifest(out_dir: str, doc: dict) -> None:
 
 def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
                    write_front: bool = False) -> list[RunResult]:
-    """Execute every (seed, member) run of a config and persist CSVs + manifest."""
+    """Execute every (seed, member) run of a config and persist CSVs + manifest.
+
+    ``threads`` must be 1: the runs execute in this thread, the min-norm
+    methods as one population array.
+    """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     errors = validate_run_config(cfg)
     if errors:
         raise ConfigError(errors)
@@ -333,17 +348,14 @@ def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
     tasks = [(seed, member) for seed in cfg["seeds"] for member in members]
 
     written: list[str] = []
-    results: list[RunResult] = []
     try:
-        def work(task):
-            seed, member = task
-            return _run_single(cfg, problem, schedule, samples, ml2o_params, seed, member)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, tasks))
+        if optname in opt.MIN_NORM_METHODS:
+            results = _run_population(cfg, problem, schedule, samples, tasks)
         else:
-            results = [work(t) for t in tasks]
+            results = [
+                _run_single(cfg, problem, schedule, samples, ml2o_params, seed, member)
+                for seed, member in tasks
+            ]
 
         manifest_runs = []
         for res in results:
@@ -363,6 +375,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
                     "final_losses": [float(v) for v in res.record.final_losses],
                     "final_x": [float(v) for v in res.record.meta["final_x"]],
                     "nonconverged_solves": res.record.meta["nonconverged_solves"],
+                    "eval_count": res.record.meta["eval_count"],
                 }
             )
         if write_front:

@@ -18,16 +18,27 @@ import numpy as np
 from .autodiff import all_finite
 
 
-def validate_gradient_matrix(w) -> np.ndarray:
+def validate_gradient_matrix(w, ndim: int = 2) -> np.ndarray:
+    """``w`` as float64: an (M, N) matrix, or a (P, M, N) stack when ``ndim`` is 3."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError(f"gradient matrix must be 2-D, got shape {w.shape}")
-    m, n = w.shape
+    if w.ndim != ndim:
+        raise ValueError(f"gradient matrix must be {ndim}-D, got shape {w.shape}")
+    m, n = w.shape[-2:]
     if m < 2 or n < 1:
         raise ValueError(f"gradient matrix needs M >= 2 rows and N >= 1 cols, got {w.shape}")
     if not all_finite(w):
         raise ValueError("gradient matrix contains non-finite entries")
     return w
+
+
+def _solver_limits(tol, max_iter, m: int) -> tuple[float, int]:
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter is None:
+        max_iter = 100 * m
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    return float(tol), int(max_iter)
 
 
 @dataclass
@@ -127,14 +138,8 @@ def solve_min_norm(w, tol: float = 1e-10, max_iter: int | None = None) -> MinNor
     ``converged=False``.
     """
     w = validate_gradient_matrix(w)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m = w.shape[0]
-    if max_iter is None:
-        max_iter = 100 * m
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    lam, obj, gap, iters = _active_set((w @ w.T).tolist(), float(tol), int(max_iter))
+    tol, max_iter = _solver_limits(tol, max_iter, w.shape[0])
+    lam, obj, gap, iters = _active_set((w @ w.T).tolist(), tol, max_iter)
     combined = w.T @ lam
     return MinNormSolution(
         weights=lam,
@@ -144,6 +149,83 @@ def solve_min_norm(w, tol: float = 1e-10, max_iter: int | None = None) -> MinNor
         gap=gap,
         iterations=iters,
         converged=bool(gap <= tol),
+    )
+
+
+def _two_vertex_steps(gram, tol, max_iter):
+    """The first two major iterations of ``_active_set`` on a stack of 2 x 2 Grams.
+
+    Start at the shorter row ``a`` (ties go to row 0); if its gap is above
+    ``tol``, move to the affine minimiser of the edge ``[a, b]`` in closed
+    form. Every float operation is the one ``_active_set`` and
+    ``_affine_minimizer`` make on Python floats, in the same order
+    (``sum`` over two products is ``(0.0 + p) + q``), so a certified row
+    equals the scalar solve bit for bit. Returns ``(certified, lam, obj,
+    gap, iterations)``; a row is certified when its gap is at most ``tol``
+    after the vertex or after the edge step. The other rows (a non-positive
+    edge denominator, an edge weight that is not positive, no decrease, a
+    gap still above ``tol``, or ``max_iter`` < 2) hold no result.
+    """
+    rows = np.arange(len(gram))
+    a = np.where(gram[:, 0, 0] <= gram[:, 1, 1], 0, 1)
+    b = 1 - a
+    ga, gb = gram[rows, a], gram[rows, b]  # rows a and b of each Gram
+    gaa, gab, gbb = ga[rows, a], ga[rows, b], gb[rows, b]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gap_vertex = 2.0 * (gaa - ga.min(axis=1))
+        denom = gaa - 2.0 * gab + gbb
+        t = (gaa - gab) / denom
+        x0 = 1.0 - t
+        g_edge = (0.0 + ga * x0[:, None]) + gb * t[:, None]  # G lam on the edge
+        obj_edge = (0.0 + g_edge[rows, a] * x0) + g_edge[rows, b] * t
+        gap_edge = 2.0 * (obj_edge - g_edge.min(axis=1))
+    at_vertex = gap_vertex <= tol
+    on_edge = (
+        (gap_vertex > tol)
+        & (denom > 0.0)
+        & (np.minimum(x0, t) > 0.0)
+        & (obj_edge < gaa)
+        & (gap_edge <= tol)
+        & (max_iter >= 2)
+    )
+    lam = np.zeros((len(gram), 2))
+    lam[rows, a] = np.where(at_vertex, 1.0, x0)
+    lam[rows, b] = np.where(at_vertex, 0.0, t)
+    obj = np.where(at_vertex, gaa, obj_edge)
+    gap = np.where(at_vertex, gap_vertex, gap_edge)
+    return at_vertex | on_edge, lam, obj, gap, np.where(at_vertex, 1, 2)
+
+
+def solve_min_norm_many(ws, tol: float = 1e-10, max_iter: int | None = None) -> MinNormSolution:
+    """``solve_min_norm`` of every (M, N) matrix in the stack ``ws`` (P, M, N).
+
+    Returns one :class:`MinNormSolution` whose fields carry a leading P
+    axis, each row equal bit for bit to ``solve_min_norm(ws[p], tol,
+    max_iter)``. The Grams come from one stacked matmul and, at M = 2, the
+    first two active-set iterations run on all rows at once
+    (:func:`_two_vertex_steps`); rows they do not certify, and every row at
+    M > 2, run ``_active_set`` one at a time.
+    """
+    ws = validate_gradient_matrix(ws, ndim=3)
+    tol, max_iter = _solver_limits(tol, max_iter, ws.shape[1])
+    gram = ws @ ws.transpose(0, 2, 1)
+    p, m = gram.shape[:2]
+    if m == 2:
+        done, lam, obj, gap, iters = _two_vertex_steps(gram, tol, max_iter)
+    else:
+        done, lam = np.zeros(p, dtype=bool), np.zeros((p, m))
+        obj, gap, iters = np.zeros(p), np.zeros(p), np.zeros(p, dtype=np.int64)
+    for i in np.flatnonzero(~done):
+        lam[i], obj[i], gap[i], iters[i] = _active_set(gram[i].tolist(), tol, max_iter)
+    combined = (lam[:, None, :] @ ws)[:, 0, :]
+    return MinNormSolution(
+        weights=lam,
+        combined=combined,
+        descent_direction=-combined,
+        dual_norm_sq=obj,
+        gap=gap,
+        iterations=iters,
+        converged=gap <= tol,
     )
 
 

@@ -5,6 +5,9 @@ direction; the dynamic-sampling variant averages a growing number of
 gradient draws per iteration. Momentum-tracking, composite-weights and
 scalarized single-objective baselines share the same step interface: every
 step function is pure in (state, rng) and returns ``(new_state, StepInfo)``.
+The min-norm step is written once, for a whole population of points
+(``min_norm_step_many``, driven by ``run_population``); ``mgda_step``,
+``smg_step`` and ``dssmg_step`` are its one-point case.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .minnorm import solve_min_norm
+from .minnorm import solve_min_norm, solve_min_norm_many
 from .trace import RunRecord, StepRow
 
 
@@ -84,21 +87,54 @@ def _advance(state: OptimizerState, x_new: np.ndarray, **memory) -> OptimizerSta
     return OptimizerState(x=x_new, k=state.k + 1, memory=mem)
 
 
-def _min_norm_step(state: OptimizerState, grads: np.ndarray, alpha: float, n: int | None):
-    sol = solve_min_norm(grads)
-    x_new = state.x + alpha * sol.descent_direction
-    info = StepInfo(sol.combined, alpha, n_samples=n, solver_converged=sol.converged)
-    return _advance(state, x_new), info
+MIN_NORM_METHODS = ("mgda", "smg", "dssmg")
+
+
+def min_norm_step_many(
+    problem,
+    method: str,
+    xs: np.ndarray,
+    k: int,
+    schedule: StepSchedule,
+    rngs: list[np.random.Generator] | None = None,
+    samples: SampleSchedule | None = None,
+):
+    """One min-norm step from every row of ``xs`` (P, N), all at iteration ``k``.
+
+    ``mgda`` uses the exact Jacobians, ``smg`` one gradient draw and
+    ``dssmg`` the mean of N_k draws; row p draws from ``rngs[p]`` only.
+    Returns ``(xs_new, solution, n_samples)``, where ``xs_new`` is
+    ``xs + alpha * descent_direction`` and the solution's fields carry a
+    leading P axis.
+    """
+    if method == "mgda":
+        n, grads = None, problem.jacobian_many(xs)
+    elif method in ("smg", "dssmg"):
+        n = 1 if method == "smg" else sample_size(k, samples)
+        grads = problem.averaged_gradient_many(xs, n, rngs)
+    else:
+        raise ValueError(f"unknown min-norm method {method!r}; choose from {MIN_NORM_METHODS}")
+    sol = solve_min_norm_many(grads)
+    return xs + schedule.at(k) * sol.descent_direction, sol, n
+
+
+def _min_norm_step(problem, method, state: OptimizerState, schedule, rng=None, samples=None):
+    rngs = None if rng is None else [rng]
+    xs, sol, n = min_norm_step_many(problem, method, state.x[None], state.k, schedule, rngs, samples)
+    info = StepInfo(
+        sol.combined[0], schedule.at(state.k), n_samples=n, solver_converged=bool(sol.converged[0])
+    )
+    return _advance(state, xs[0]), info
 
 
 def mgda_step(problem, state: OptimizerState, schedule: StepSchedule):
     """Deterministic min-norm step on the exact Jacobian."""
-    return _min_norm_step(state, problem.full_jacobian(state.x), schedule.at(state.k), None)
+    return _min_norm_step(problem, "mgda", state, schedule)
 
 
 def smg_step(problem, state: OptimizerState, schedule: StepSchedule, rng: np.random.Generator):
     """Min-norm step on a single stochastic gradient draw."""
-    return _min_norm_step(state, problem.sample_gradient(state.x, rng), schedule.at(state.k), 1)
+    return _min_norm_step(problem, "smg", state, schedule, rng)
 
 
 def dssmg_step(
@@ -109,9 +145,7 @@ def dssmg_step(
     rng: np.random.Generator,
 ):
     """Min-norm step on the mean of N_k stochastic gradient draws."""
-    n = sample_size(state.k, samples)
-    grads = problem.averaged_gradient(state.x, n, rng)
-    return _min_norm_step(state, grads, schedule.at(state.k), n)
+    return _min_norm_step(problem, "dssmg", state, schedule, rng, samples)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -272,3 +306,40 @@ def run_steps(
             record.iterates.append(state.x.copy())
     record.meta["final_x"] = state.x.copy()
     return record
+
+
+def run_population(
+    problem,
+    method: str,
+    xs0: np.ndarray,
+    steps: int,
+    schedule: StepSchedule,
+    rngs: list[np.random.Generator] | None = None,
+    samples: SampleSchedule | None = None,
+) -> list[RunRecord]:
+    """Run ``steps`` min-norm steps from every row of ``xs0`` (P, N) as one array.
+
+    Row p gets the record ``run_steps`` gives the same method from ``xs0[p]``
+    with ``rngs[p]`` (``keep_iterates=False``), bit for bit, except for
+    ``wall_time``: every member's row of step k holds the wall time of the
+    whole population step k.
+    """
+    xs = np.array(xs0, dtype=np.float64)
+    pop = len(xs)
+    records = [RunRecord(meta={"eval_count": steps}) for _ in range(pop)]
+    nonconverged = np.zeros(pop, dtype=np.int64)
+    for k in range(1, steps + 1):
+        t0 = time.perf_counter()
+        xs, sol, n = min_norm_step_many(problem, method, xs, k, schedule, rngs, samples)
+        losses = problem.eval_many(xs)
+        c = sol.combined
+        norms = np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist()
+        nonconverged += ~sol.converged
+        alpha = schedule.at(k)
+        wall = time.perf_counter() - t0
+        for record, f, norm in zip(records, losses, norms):
+            record.rows.append(StepRow(k, f, norm, alpha, n, wall_time=wall))
+    for record, x, bad in zip(records, xs, nonconverged.tolist()):
+        record.meta["nonconverged_solves"] = bad
+        record.meta["final_x"] = x.copy()
+    return records

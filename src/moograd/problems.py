@@ -47,6 +47,19 @@ class MooProblem:
             acc += self.sample_gradient(x, rng)
         return acc / n
 
+    def jacobian_many(self, xs) -> np.ndarray:
+        """Exact Jacobians of the rows of ``xs`` (P, N), stacked as (P, M, N)."""
+        return np.stack([self.full_jacobian(x) for x in np.asarray(xs, dtype=np.float64)])
+
+    def averaged_gradient_many(self, xs, n: int, rngs) -> np.ndarray:
+        """``averaged_gradient`` at every row of ``xs``; row p draws from ``rngs[p]`` only."""
+        xs = np.asarray(xs, dtype=np.float64)
+        return np.stack([self.averaged_gradient(x, n, rng) for x, rng in zip(xs, rngs, strict=True)])
+
+    def eval_many(self, xs) -> np.ndarray:
+        """Losses of the rows of ``xs`` (P, N), stacked as (P, M)."""
+        return np.stack([self.eval(x) for x in np.asarray(xs, dtype=np.float64)])
+
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:
         if self.domain is None:
             raise UnsupportedCapability(f"{type(self).__name__} has no sampling domain")
@@ -123,6 +136,37 @@ class QuadraticPair(MooProblem):
             return jac
         noise = rng.standard_normal((n,) + jac.shape)
         return jac + self.noise_sigma * noise.mean(axis=0)
+
+    # The batched oracles apply A_i to each row with its own matrix-vector
+    # product and take each dot product as a stacked matmul: the BLAS calls
+    # of the per-point methods, so every row matches them bit for bit.
+    def jacobian_many(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.float64)
+        return np.stack(
+            [np.matmul(a, (xs - c)[:, :, None])[:, :, 0] for c, a in zip(self.centers, self.mats)],
+            axis=1,
+        )
+
+    def averaged_gradient_many(self, xs, n: int, rngs) -> np.ndarray:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        jac = self.jacobian_many(xs)
+        if len(rngs) != len(jac):
+            raise ValueError(f"{len(rngs)} generators for {len(jac)} points")
+        if self.noise_sigma == 0.0:
+            return jac
+        noise = np.empty((len(jac), n) + jac.shape[1:])
+        for buf, rng in zip(noise, rngs):
+            rng.standard_normal(out=buf)
+        return jac + self.noise_sigma * noise.mean(axis=1)
+
+    def eval_many(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.float64)
+        out = np.empty((len(xs), 2))
+        for i, (c, a) in enumerate(zip(self.centers, self.mats)):
+            d = xs - c
+            out[:, i] = ((0.5 * d)[:, None, :] @ np.matmul(a, d[:, :, None]))[:, 0, 0]
+        return out
 
     def eval_terms(self, x_col) -> list:
         losses = []

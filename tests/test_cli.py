@@ -45,6 +45,14 @@ def test_front_subcommand(tmp_path):
     assert os.path.exists(tmp_path / "out" / "front_seed1.csv")
 
 
+def test_threads_flag_is_gone(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfg, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, optimizer={"name": "bogus", "params": {}})
     assert main(["run", "--config", cfg]) == 1
@@ -92,8 +100,13 @@ def test_check_subcommand_failure_exit_code(monkeypatch, capsys):
 
 
 def test_console_script_help():
+    # the child interpreter finds the package where this one did, installed or not
+    import moograd
+
+    path = [os.path.dirname(os.path.dirname(moograd.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
-        [sys.executable, "-m", "moograd.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "moograd.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     for cmd in ("run", "train-ml2o", "compare", "front", "check"):

@@ -12,6 +12,7 @@ from moograd.optimizers import (
     StepSchedule,
     dssmg_step,
     mgda_step,
+    run_population,
     run_steps,
 )
 from moograd.problems import make_quadratic_pair, make_toy_mtl
@@ -137,8 +138,13 @@ def test_nonconverged_solves_are_tallied(monkeypatch):
         calls.append(None)
         return dataclasses.replace(minnorm.solve_min_norm(w), converged=len(calls) % 2 == 0)
 
+    def every_other_fails_many(ws):
+        calls.append(None)
+        sol = minnorm.solve_min_norm_many(ws)
+        return dataclasses.replace(sol, converged=np.full(len(ws), len(calls) % 2 == 0))
+
     monkeypatch.setattr(guard, "solve_min_norm", every_other_fails)
-    monkeypatch.setattr(optimizers, "solve_min_norm", every_other_fails)
+    monkeypatch.setattr(optimizers, "solve_min_norm_many", every_other_fails_many)
     prob = make_quadratic_pair(3, seed=5, noise_sigma=0.1)
     params = init_params(2, 4, seed=1)
     sched = StepSchedule("constant", 0.2)
@@ -150,6 +156,10 @@ def test_nonconverged_solves_are_tallied(monkeypatch):
     step = lambda st, r: dssmg_step(prob, st, sched, samp, r)
     plain = run_steps(prob, step, x0, 9, np.random.default_rng(1))
     assert plain.meta["nonconverged_solves"] == 5
+    calls.clear()
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    population = run_population(prob, "dssmg", np.stack([x0, x0]), 9, sched, rngs, samp)
+    assert [rec.meta["nonconverged_solves"] for rec in population] == [5, 5]
 
 
 def test_guarded_run_on_minibatch_problem_uses_guard_batches():

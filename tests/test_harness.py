@@ -75,6 +75,7 @@ def test_run_experiment_outputs_and_manifest(tmp_path):
         assert len(lines) == 1 + entry["rows"] == 1 + 12
         assert hash_csv_file(path) == entry["content_hash"]
         assert entry["nonconverged_solves"] == 0
+        assert entry["eval_count"] == 12
         ks = [int(line.split(",")[0]) for line in lines[1:]]
         assert ks == sorted(set(ks))
 
@@ -93,14 +94,42 @@ def test_run_experiment_deterministic_and_seed_repeat(tmp_path):
     assert m3["runs"][0]["content_hash"] == m3["runs"][1]["content_hash"]
 
 
-def test_threads_do_not_change_outputs(tmp_path):
-    out1, out2 = str(tmp_path / "t1"), str(tmp_path / "t2")
-    cfg = base_config(out1, population=3, seeds=[3])
-    run_experiment(cfg)
-    run_experiment({**cfg, "outputs": out2}, threads=3)
-    m1 = json.load(open(os.path.join(out1, "manifest.json")))
-    m2 = json.load(open(os.path.join(out2, "manifest.json")))
-    assert [r["content_hash"] for r in m1["runs"]] == [r["content_hash"] for r in m2["runs"]]
+def manifest_hashes(out):
+    with open(os.path.join(out, "manifest.json")) as fh:
+        return {(r["seed"], r["member"]): r["content_hash"] for r in json.load(fh)["runs"]}
+
+
+@pytest.mark.parametrize("name", ["mgda", "smg", "dssmg"])
+def test_member_hash_independent_of_population_size(tmp_path, name):
+    # batching must not break the (seed, member, purpose) stream contract:
+    # member m's run is the same whether the population has m + 1 members or 7
+    opt = {"name": name, "params": {}}
+    full = str(tmp_path / "p7")
+    run_experiment(base_config(full, optimizer=opt, population=7, seeds=[3]))
+    big = manifest_hashes(full)
+    for m in range(7):
+        out = str(tmp_path / f"p{m + 1}")
+        run_experiment(base_config(out, optimizer=opt, population=m + 1, seeds=[3]))
+        assert manifest_hashes(out)[(3, m)] == big[(3, m)]
+
+
+@pytest.mark.parametrize("population", [None, 4])
+def test_seed_alone_equals_seed_in_multi_seed_config(tmp_path, population):
+    multi = str(tmp_path / "multi")
+    run_experiment(base_config(multi, population=population, seeds=[5, 2, 9]))
+    together = manifest_hashes(multi)
+    for seed in (5, 2, 9):
+        alone = str(tmp_path / f"alone{seed}")
+        run_experiment(base_config(alone, population=population, seeds=[seed]))
+        for key, digest in manifest_hashes(alone).items():
+            assert together[key] == digest
+
+
+def test_threads_other_than_one_rejected(tmp_path):
+    cfg = base_config(str(tmp_path / "t"))
+    with pytest.raises(ValueError, match="threads"):
+        run_experiment(cfg, threads=2)
+    assert not os.path.exists(str(tmp_path / "t"))
 
 
 def test_population_front_files(tmp_path):
@@ -155,12 +184,13 @@ def test_checkpoint_required_for_learned_runs(tmp_path):
 
 
 def test_failure_removes_partial_outputs(tmp_path, monkeypatch):
+    # the third CSV fails to format after two are on disk: nothing is left
     out = str(tmp_path / "boom")
     cfg = base_config(out, seeds=[1, 2, 3])
 
     import moograd.harness as hz
 
-    real = hz._run_single
+    real = hz._csv_lines
     calls = {"n": 0}
 
     def flaky(*args, **kwargs):
@@ -169,9 +199,10 @@ def test_failure_removes_partial_outputs(tmp_path, monkeypatch):
             raise RuntimeError("synthetic failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(hz, "_run_single", flaky)
+    monkeypatch.setattr(hz, "_csv_lines", flaky)
     with pytest.raises(RuntimeError, match="synthetic"):
         run_experiment(cfg)
+    assert calls["n"] == 3
     leftovers = [f for f in os.listdir(out)] if os.path.isdir(out) else []
     assert all(not f.endswith(".csv") for f in leftovers)
     assert "manifest.json" not in leftovers

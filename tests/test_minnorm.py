@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from moograd import minnorm
 from moograd.minnorm import (
     criticality_measure,
     min_norm_2obj_oracle,
     simplex_grid_oracle,
     solve_min_norm,
+    solve_min_norm_many,
 )
 from moograd.problems import QuadraticPair
 
@@ -127,6 +129,74 @@ def test_every_solve_converges_on_hard_battery(scale):
         assert simplex_gap(w, sol.weights) <= tol
         assert sol.gap == pytest.approx(simplex_gap(w, sol.weights), abs=1e-3 * tol)
         assert np.allclose(sol.combined, w.T @ sol.weights, rtol=1e-12, atol=1e-14 * np.sqrt(scale))
+
+
+SOLUTION_FIELDS = (
+    "weights", "combined", "descent_direction", "dual_norm_sq", "gap", "iterations", "converged"
+)
+
+
+def stacked_handoffs(monkeypatch, ws, **kw):
+    """Solve ``ws`` stacked and one by one; assert equal bits; return the stacked
+    solve's number of per-row ``_active_set`` calls."""
+    calls = []
+    real = minnorm._active_set
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(minnorm, "_active_set", counting)
+    many = solve_min_norm_many(ws, **kw)
+    handoffs = len(calls)
+    for p, w in enumerate(ws):
+        one = solve_min_norm(w, **kw)
+        for name in SOLUTION_FIELDS:
+            got, want = getattr(many, name)[p], getattr(one, name)
+            assert np.array_equal(got, want), (w, name, got, want)
+    return handoffs
+
+
+def test_solve_min_norm_many_matches_scalar_solve_bitwise(monkeypatch):
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 8, 40):
+        ws = rng.normal(size=(300, 2, n))
+        assert stacked_handoffs(monkeypatch, ws) == 0  # the closed form certifies all
+        ws[::7, 1] = ws[::7, 0]  # duplicate rows
+        ws[::11, 0] = 0.0  # a zero row
+        assert stacked_handoffs(monkeypatch, ws) == 0
+    near = rng.normal(size=(200, 1, 6))
+    near = np.concatenate([near, near * (1 + 1e-9 * rng.normal(size=(200, 1, 1)))], axis=1)
+    stacked_handoffs(monkeypatch, near)
+    # rows the closed form leaves to _active_set: a gap above an unreachable
+    # tol, or no room for the edge step
+    ws = rng.normal(size=(200, 2, 5)) * 1e3
+    assert 0 < stacked_handoffs(monkeypatch, ws, tol=1e-20) < 200
+    assert 0 < stacked_handoffs(monkeypatch, ws, max_iter=1) < 200
+    for m in (3, 5):  # M > 2 runs _active_set row by row
+        assert stacked_handoffs(monkeypatch, rng.normal(size=(40, m, 4))) == 40
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_solve_min_norm_many_matches_scalar_solve_on_hard_battery(monkeypatch, scale):
+    by_shape = {}
+    for w in hard_battery(17):
+        w = w * np.sqrt(scale)
+        stacked_handoffs(monkeypatch, w[None], tol=1e-10 * scale)
+        by_shape.setdefault(w.shape, []).append(w)
+    for ws in by_shape.values():
+        stacked_handoffs(monkeypatch, np.stack(ws), tol=1e-10 * scale)
+
+
+def test_solve_min_norm_many_rejects_bad_stacks():
+    with pytest.raises(ValueError, match="3-D"):
+        solve_min_norm_many(np.eye(2))
+    with pytest.raises(ValueError, match="M >= 2"):
+        solve_min_norm_many(np.ones((4, 1, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_min_norm_many(np.array([[[1.0, np.inf], [0.0, 1.0]]]))
+    with pytest.raises(ValueError, match="tol"):
+        solve_min_norm_many(np.ones((1, 2, 2)), tol=-1.0)
 
 
 def test_matches_grid_oracle_three_objectives():

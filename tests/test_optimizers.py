@@ -9,13 +9,15 @@ from moograd.optimizers import (
     dssmg_step,
     mgda_step,
     moco_like_step,
+    min_norm_step_many,
     project_simplex,
+    run_population,
     run_steps,
     sample_size,
     scalarized_step,
     smg_step,
 )
-from moograd.problems import QuadraticPair, make_quadratic_pair
+from moograd.problems import QuadraticPair, make_quadratic_pair, make_toy_mtl
 
 
 @pytest.fixture
@@ -271,3 +273,55 @@ def test_run_steps_trace_and_determinism():
         assert np.array_equal(ra.losses, rb.losses)
     assert np.array_equal(a.final_x, b.final_x)
     assert a.meta["eval_count"] == 30
+
+
+POINT_STEPS = {
+    "mgda": lambda prob, sched, samp: lambda st, r: mgda_step(prob, st, sched),
+    "smg": lambda prob, sched, samp: lambda st, r: smg_step(prob, st, sched, r),
+    "dssmg": lambda prob, sched, samp: lambda st, r: dssmg_step(prob, st, sched, samp, r),
+}
+
+
+@pytest.mark.parametrize("method", sorted(POINT_STEPS))
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: make_quadratic_pair(5, seed=8, noise_sigma=0.4),
+        lambda: QuadraticPair(
+            [0.5, -1.0, 0.2],
+            [-0.3, 0.8, 1.0],
+            np.diag([1.0, 0.3, 2.0]),
+            [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+            noise_sigma=0.2,
+        ),
+        lambda: make_toy_mtl(seed=4, samples=64, batch=8, hidden=5, input_dim=4, classes=3),
+    ],
+    ids=["quadratic", "curved", "toy_mtl"],
+)
+def test_run_population_matches_run_steps_per_member(method, factory):
+    # the per-point loop is the reference: every row of the population run
+    # must equal the member run alone, bit for bit
+    prob = factory()
+    sched, samp = StepSchedule("harmonic", 0.5), SampleSchedule(3, 0.3)
+    x0s = np.random.default_rng(100).normal(scale=0.5, size=(5, prob.dim))
+    records = run_population(
+        prob, method, x0s, 7, sched, [np.random.default_rng(p) for p in range(5)], samp
+    )
+    step = POINT_STEPS[method](prob, sched, samp)
+    for p, rec in enumerate(records):
+        alone = run_steps(prob, step, x0s[p], 7, np.random.default_rng(p), keep_iterates=False)
+        assert [(r.k, r.alpha, r.n_samples) for r in rec.rows] == [
+            (r.k, r.alpha, r.n_samples) for r in alone.rows
+        ]
+        for got, want in zip(rec.rows, alone.rows):
+            assert np.array_equal(got.losses, want.losses)
+            assert got.direction_norm == want.direction_norm
+        assert np.array_equal(rec.meta["final_x"], alone.meta["final_x"])
+        assert rec.meta["eval_count"] == alone.meta["eval_count"] == 7
+        assert rec.meta["nonconverged_solves"] == alone.meta["nonconverged_solves"] == 0
+
+
+def test_min_norm_step_many_rejects_unknown_method():
+    prob = make_quadratic_pair(2, seed=1)
+    with pytest.raises(ValueError, match="unknown min-norm method"):
+        min_norm_step_many(prob, "moco", np.zeros((1, 2)), 1, StepSchedule())

@@ -202,3 +202,43 @@ def test_quadratic_criticality_zero_only_on_segment():
         off = rng.uniform(-1.5, 1.5, 4)
         if prob.distance_to_front(off) >= 0.1:
             assert criticality_measure(prob, off) > 0.01
+
+
+def random_spd(rng, n):
+    q = rng.normal(size=(n, n))
+    return q @ q.T + 0.1 * np.eye(n)
+
+
+BATCHED = {
+    "quadratic_identity": lambda rng: make_quadratic_pair(6, seed=4, noise_sigma=0.3),
+    "quadratic_curved": lambda rng: QuadraticPair(
+        rng.normal(size=6), rng.normal(size=6), random_spd(rng, 6), random_spd(rng, 6), 0.7
+    ),
+    "quadratic_noise_free": lambda rng: make_quadratic_pair(5, seed=2),
+    "toy_mtl_fallback": lambda rng: make_toy_mtl(seed=2, samples=64, batch=8, hidden=5, input_dim=4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED))
+def test_batched_oracles_match_per_point_bitwise(case):
+    rng = np.random.default_rng(13)
+    prob = BATCHED[case](rng)
+    xs = rng.normal(size=(9, prob.dim))
+    jac, losses = prob.jacobian_many(xs), prob.eval_many(xs)
+    assert jac.shape == (9, 2, prob.dim) and losses.shape == (9, 2)
+    for p, x in enumerate(xs):
+        assert np.array_equal(jac[p], prob.full_jacobian(x))
+        assert np.array_equal(losses[p], prob.eval(x))
+    for n in (1, 4):
+        batch_rngs = [np.random.default_rng(s) for s in range(9)]
+        point_rngs = [np.random.default_rng(s) for s in range(9)]
+        grads = prob.averaged_gradient_many(xs, n, batch_rngs)
+        for p, x in enumerate(xs):
+            assert np.array_equal(grads[p], prob.averaged_gradient(x, n, point_rngs[p]))
+            if n == 1:  # one draw is sample_gradient, bit for bit
+                again = np.random.default_rng(p)
+                assert np.array_equal(grads[p], prob.sample_gradient(x, again))
+        # each row consumed exactly its own stream
+        assert [r.random() for r in batch_rngs] == [r.random() for r in point_rngs]
+    with pytest.raises(ValueError):
+        prob.averaged_gradient_many(xs, 2, batch_rngs[:3])
