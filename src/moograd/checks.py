@@ -489,7 +489,7 @@ def check_12_run_determinism(ctx):
     return passed, f"CSV bytes identical after wall-time exclusion: {same}; manifest hashes equal: {hashes_equal}"
 
 
-def random_spd(rng: np.random.Generator, dim: int, low: float, high: float) -> np.ndarray:
+def _random_spd(rng: np.random.Generator, dim: int, low: float, high: float) -> np.ndarray:
     """Symmetric positive definite matrix with eigenvalues drawn U[low, high]."""
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     a = (q * rng.uniform(low, high, dim)) @ q.T
@@ -504,10 +504,12 @@ def check_13_curved_guard_convergence(ctx):
     for seed in range(10):
         rng = np.random.default_rng(CURVED_PROBLEM_SEED + seed)
         c1, c2 = rng.uniform(-1.0, 1.0, (2, 8))
-        a1, a2 = random_spd(rng, 8, 0.1, 1.0), random_spd(rng, 8, 0.1, 1.0)  # L <= 1
+        a1, a2 = _random_spd(rng, 8, 0.1, 1.0), _random_spd(rng, 8, 0.1, 1.0)  # L <= 1
         prob = QuadraticPair(c1, c2, a1, a2, domain=(-1.0, 1.0))
         x0 = prob.initial_point(harness.derive_rng(seed, 0, harness.PURPOSE_INIT))
-        rec = gml2o_deterministic_run(prob, params, alpha=1.0, steps=500, x0=x0, keep_iterates=False)
+        rec = gml2o_deterministic_run(
+            prob, params, alpha=1.0, steps=500, x0=x0, keep_iterates=False
+        )
         norms = np.array([row.direction_norm for row in rec.rows])
         hit = np.nonzero(norms < 1e-4)[0]
         if hit.size:

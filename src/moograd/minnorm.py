@@ -43,6 +43,8 @@ def _solver_limits(tol, max_iter, m: int) -> tuple[float, int]:
 
 @dataclass
 class MinNormSolution:
+    """One solve; :func:`solve_min_norm_many` fills each field with a leading P axis."""
+
     weights: np.ndarray          # lam on the simplex, shape (M,)
     combined: np.ndarray         # W' lam, shape (N,)
     descent_direction: np.ndarray  # -combined
