@@ -24,7 +24,6 @@ from .ml2o import (
     meta_loss,
     meta_train,
     ml2o_direction,
-    ml2o_step,
     preprocess_gradient,
     save_checkpoint,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "meta_train",
     "min_norm_2obj_oracle",
     "ml2o_direction",
-    "ml2o_step",
     "preprocess_gradient",
     "register_named_problem",
     "sample_size",

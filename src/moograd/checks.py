@@ -8,6 +8,7 @@ once per work directory and reused by later criteria.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harness
-from .guard import gml2o_deterministic_run, gml2o_run
+from .guard import _guarded_loop, gml2o_deterministic_run, gml2o_run
 from .metrics import extract_front, front_reference, hypervolume_2d, theorem_monitor
 from .minnorm import criticality_measure, min_norm_2obj_oracle, simplex_grid_oracle, solve_min_norm
 from .ml2o import (
@@ -26,8 +27,8 @@ from .ml2o import (
     evaluate_meta_loss,
     init_params,
     init_state,
+    learned_step,
     load_checkpoint,
-    ml2o_direction,
     store_from_params,
     unroll_window,
 )
@@ -36,8 +37,8 @@ from .optimizers import (
     StepSchedule,
     dssmg_step,
     mgda_step,
+    run_population,
     run_steps,
-    sample_size,
 )
 from .problems import QuadraticPair, make_quadratic_pair, make_toy_mtl
 from . import autodiff as ad
@@ -207,9 +208,10 @@ def check_5_dynamic_sampling_monitor(ctx):
         x0 = prob.initial_point(harness.derive_rng(seed, 0, harness.PURPOSE_INIT))
         rec = run_steps(
             prob,
-            lambda st, r: dssmg_step(prob, st, sched, samp, r),
+            functools.partial(dssmg_step, samples=samp),
             x0,
             5000,
+            sched,
             harness.derive_rng(seed, 0, harness.PURPOSE_DRAWS),
         )
         series = theorem_monitor(rec, prob)
@@ -288,41 +290,23 @@ def check_7_bptt_gradient(ctx):
     return failures == 0, f"{failures}/20 seeds failed; worst relative error {worst:.2e} (<1e-4)"
 
 
-def _ml2o_run_max_loss(problem, params, steps, alpha):
-    x = problem.initial_point(np.random.default_rng(0))
-    state = init_state(params.m, params.hidden, problem.dim)
-    for _ in range(steps):
-        g, state = ml2o_direction(problem.full_jacobian(x), state, params)
-        x = x - alpha * g
-    return float(np.max(problem.eval(x)))
-
-
 def check_8_learning_signal(ctx):
     """Training helps: validation meta-loss drops, and the selected optimizer
     beats the hand-designed min-norm method at step 100 on most problems."""
     t0 = time.perf_counter()
     rows = ctx.h8_models()
     improved = sum(after < base for _, _, base, after in rows)
-    chosen = ctx.selected_h8()
-    sched = StepSchedule("constant", MGDA_RUN_ALPHA)
+    learned = functools.partial(learned_step, model=ctx.selected_h8(), exact=True)
     wins = 0
     for i in range(50):
         prob = make_quadratic_pair(8, seed=COMPARISON_PROBLEM_SEED + i)
         x0 = prob.initial_point(np.random.default_rng(0))
-        rec = run_steps(
-            prob,
-            lambda st, r: mgda_step(prob, st, sched),
-            x0,
-            100,
-            np.random.default_rng(0),
-            keep_iterates=False,
-        )
-        x = x0.copy()
-        state = init_state(2, 8, 8)
-        for _ in range(100):
-            g, state = ml2o_direction(prob.full_jacobian(x), state, chosen)
-            x = x - ML2O_RUN_ALPHA * g
-        wins += float(np.max(prob.eval(x))) < float(np.max(rec.final_losses))
+        final = {}
+        for name, step, alpha in (("mgda", mgda_step, MGDA_RUN_ALPHA),
+                                  ("ml2o", learned, ML2O_RUN_ALPHA)):
+            rec = run_steps(prob, step, x0, 100, StepSchedule("constant", alpha), keep_iterates=False)
+            final[name] = float(np.max(rec.final_losses))
+        wins += final["ml2o"] < final["mgda"]
     elapsed = time.perf_counter() - t0
     passed = improved >= 9 and wins >= 35 and elapsed < 900.0
     return passed, (
@@ -394,39 +378,28 @@ def check_10_guarded_mtl(ctx):
     prob = make_toy_mtl(seed=4242)
     sched = StepSchedule("constant", 0.5)
     samp = SampleSchedule(1, 0.1)
-    finals = {"dssmg": [], "ml2o": [], "gml2o": []}
-    for seed in range(10):
-        x0 = prob.initial_point(harness.derive_rng(seed, 0, harness.PURPOSE_INIT))
-        rec = run_steps(
-            prob,
-            lambda st, r: dssmg_step(prob, st, sched, samp, r),
-            x0,
-            700,
-            harness.derive_rng(seed, 0, harness.PURPOSE_DRAWS),
-            keep_iterates=False,
-        )
-        finals["dssmg"].append(rec.final_losses)
-        x = x0.copy()
-        state = init_state(2, 20, prob.dim)
-        draws = harness.derive_rng(seed, 0, harness.PURPOSE_DRAWS)
-        for k in range(1, 701):
-            y = prob.averaged_gradient(x, sample_size(k, samp), draws)
-            g, state = ml2o_direction(y, state, params)
-            x = x - sched.alpha * g
-        finals["ml2o"].append(prob.eval(x))
-        rec = gml2o_run(
-            prob,
-            params,
-            sched,
-            samp,
-            700,
-            x0,
-            harness.derive_rng(seed, 0, harness.PURPOSE_DRAWS),
-            guard_rng=harness.derive_rng(seed, 0, harness.PURPOSE_GUARD),
-            guard_batch=512,
-            keep_iterates=False,
-        )
-        finals["gml2o"].append(prob.eval(rec.meta["final_x"]))
+    seeds = range(10)
+    x0s = np.array([prob.initial_point(harness.derive_rng(s, 0, harness.PURPOSE_INIT)) for s in seeds])
+
+    def streams(purpose):
+        return [harness.derive_rng(s, 0, purpose) for s in seeds]
+
+    finals = {}
+    dssmg = functools.partial(dssmg_step, samples=samp)
+    recs = run_population(prob, dssmg, x0s, 700, sched, streams(harness.PURPOSE_DRAWS))
+    finals["dssmg"] = [rec.final_losses for rec in recs]
+    # the 7000 ml2o steps are stepped bare: recording them would add a
+    # full-data evaluation per step that the comparison does not read
+    xs, memory, draws = x0s, {}, streams(harness.PURPOSE_DRAWS)
+    for k in range(1, 701):
+        xs = learned_step(prob, xs, k, sched.alpha, draws, memory, params, samp)[0]
+    finals["ml2o"] = prob.eval_many(xs)
+    guarded = functools.partial(
+        _guarded_loop, model=params, samples=samp,
+        guard_rngs=streams(harness.PURPOSE_GUARD), guard_batch=512,
+    )
+    recs = run_population(prob, guarded, x0s, 700, sched, streams(harness.PURPOSE_DRAWS))
+    finals["gml2o"] = prob.eval_many(np.array([rec.meta["final_x"] for rec in recs]))
     means = {k: np.mean(v, axis=0) for k, v in finals.items()}
     bound = np.minimum(means["dssmg"], means["ml2o"]) + 0.05
     elapsed = time.perf_counter() - t0

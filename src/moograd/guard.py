@@ -12,15 +12,15 @@ advances regardless of the decision.
 
 from __future__ import annotations
 
-import time
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .minnorm import solve_min_norm
-from .ml2o import Ml2oParams, check_compatible, init_state, ml2o_direction
-from .optimizers import SampleSchedule, StepSchedule, sample_size
-from .trace import RunRecord, StepRow
+from .ml2o import Ml2oParams, check_compatible, learned_directions
+from .optimizers import SampleSchedule, StepSchedule, row_norms, run_steps, sample_size
+from .trace import RunRecord
 
 
 @dataclass
@@ -35,7 +35,8 @@ def guard_select(z, cand_fallback, cand_learned, evaluator, f_z=None):
 
     Returns ``(decision, z_next, f_chosen)``. ``f_z`` may carry a cached
     evaluation of the base point; the two candidate evaluations are always
-    fresh.
+    fresh. The learned candidate wins only when its increase is strictly
+    smaller, so ties and non-finite losses go to the fallback.
     """
     if f_z is None:
         f_z = np.asarray(evaluator(z), dtype=np.float64)
@@ -43,85 +44,75 @@ def guard_select(z, cand_fallback, cand_learned, evaluator, f_z=None):
     f_ln = np.asarray(evaluator(cand_learned), dtype=np.float64)
     fb_delta = float(np.max(f_fb - f_z))
     ln_delta = float(np.max(f_ln - f_z))
-    if fb_delta <= ln_delta:
-        return GuardDecision("fallback", fb_delta, ln_delta), cand_fallback, f_fb
-    return GuardDecision("learned", fb_delta, ln_delta), cand_learned, f_ln
+    if ln_delta < fb_delta:
+        return GuardDecision("learned", fb_delta, ln_delta), cand_learned, f_ln
+    return GuardDecision("fallback", fb_delta, ln_delta), cand_fallback, f_fb
 
 
-# sentinel: reuse the previous step's chosen losses as the base value
-_REUSE = object()
+def _guarded_loop(problem, xs, k, alpha, rngs, memory, model: Ml2oParams,
+                  samples: SampleSchedule | None = None, guard_rngs=None, *,
+                  guard_batch: int = 512):
+    """The guarded population step (the ``gml2o`` optimizer), one ``guard_select`` per row.
 
-
-def _guarded_loop(
-    problem,
-    params: Ml2oParams,
-    schedule: StepSchedule,
-    steps: int,
-    x0: np.ndarray,
-    grads_fn,
-    evaluator_fn,
-    keep_iterates: bool = True,
-) -> RunRecord:
-    """Common driver for the stochastic and deterministic guarded runs.
-
-    ``grads_fn(k, z)`` returns ``(y_rows, n_samples)``; ``evaluator_fn(k)``
-    returns ``(evaluator, f_z_cached)`` where ``f_z_cached`` is None when the
-    base point must be re-evaluated under this step's yardstick.
+    The gradient stacks are the mean of N_k draws under ``samples``, or the
+    exact Jacobians without it; each row's stack is shared by its two
+    candidates. With ``guard_rngs`` on a problem with mini-batch evaluation,
+    row p compares losses on a fresh batch from ``guard_rngs[p]`` each step
+    (base point included: three evaluations); otherwise it compares exact
+    losses with the base value carried from the previous step (two, plus
+    one on the first step). Returns the step-function tuple plus ``(losses,
+    decisions, evals)``: the chosen points' losses, one
+    :class:`GuardDecision` per row and the evaluations per row.
     """
-    check_compatible(params, problem)
-    z = np.asarray(x0, dtype=np.float64).copy()
-    state = init_state(params.m, params.hidden, problem.dim)
-    record = RunRecord(meta={"eval_count": 0, "decisions": [], "nonconverged_solves": 0})
-    if keep_iterates:
-        record.iterates.append(z.copy())
-    f_z_running = None
-    for k in range(1, steps + 1):
-        t0 = time.perf_counter()
-        alpha = schedule.at(k)
-        y_rows, n = grads_fn(k, z)
-        g, state = ml2o_direction(y_rows, state, params)
-        cand_learned = z - alpha * g
-        sol = solve_min_norm(y_rows)
-        record.meta["nonconverged_solves"] += not sol.converged
-        cand_fallback = z + alpha * sol.descent_direction
+    check_compatible(model, problem)
+    if samples is None:
+        grads, n = problem.jacobian_many(xs), None
+    else:
+        n = sample_size(k, samples)
+        grads = problem.averaged_gradient_many(xs, n, rngs)
+    learned = xs - alpha * learned_directions(grads, memory, model)
 
-        evaluator, f_z = evaluator_fn(k)
-        if f_z is None:
-            f_z = np.asarray(evaluator(z), dtype=np.float64)
-            record.meta["eval_count"] += 1
-        elif f_z is _REUSE:
-            f_z = f_z_running
-            if f_z is None:
-                f_z = np.asarray(evaluator(z), dtype=np.float64)
-                record.meta["eval_count"] += 1
+    if guard_rngs is not None and hasattr(problem, "eval_batch"):
+        evaluators = [
+            functools.partial(problem.eval_batch, idx=problem.sample_batch_indices(guard_batch, rng))
+            for rng in guard_rngs
+        ]
+        base = None
+    else:
+        evaluators = [problem.eval] * len(xs)
+        base = memory.get("guard_losses")
+    chosen, losses, decisions, combined, converged = [], [], [], [], []
+    for p, evaluator in enumerate(evaluators):
+        # one scalar solve per row: the batched solver's fixed cost exceeds
+        # it on the small populations guarded runs use
+        sol = solve_min_norm(grads[p])
+        if base is None:
+            f_z = np.asarray(evaluator(xs[p]), dtype=np.float64)
+        else:
+            f_z = base[p]
         decision, z_next, f_chosen = guard_select(
-            z, cand_fallback, cand_learned, evaluator, f_z=f_z
+            xs[p], xs[p] + alpha * sol.descent_direction, learned[p], evaluator, f_z=f_z
         )
-        record.meta["eval_count"] += 2
         chosen_delta = float(np.max(f_chosen - f_z))
-        if chosen_delta > decision.fallback_delta:
+        if not chosen_delta <= decision.fallback_delta:
             raise AssertionError(
                 f"guard invariant violated at k={k}: "
                 f"{chosen_delta} > {decision.fallback_delta}"
             )
-        record.meta["decisions"].append(decision)
-        record.rows.append(
-            StepRow(
-                k=k,
-                losses=f_chosen,
-                direction_norm=float(np.linalg.norm(sol.combined)),
-                alpha=alpha,
-                n_samples=n,
-                guard_choice=decision.chosen,
-                wall_time=time.perf_counter() - t0,
-            )
-        )
-        z = z_next
-        f_z_running = f_chosen
-        if keep_iterates:
-            record.iterates.append(z.copy())
-    record.meta["final_x"] = z.copy()
-    return record
+        chosen.append(z_next)
+        losses.append(f_chosen)
+        decisions.append(decision)
+        combined.append(sol.combined)
+        converged.append(sol.converged)
+    memory["guard_losses"] = losses
+    evals = 2 if base is not None else 3
+    norms = row_norms(np.array(combined))
+    return np.array(chosen), norms, n, np.array(converged), losses, decisions, evals
+
+
+def gml2o_det_step(problem, xs, k, alpha, rngs, memory, model: Ml2oParams):
+    """The ``gml2o_det`` population step: exact Jacobians and exact losses."""
+    return _guarded_loop(problem, xs, k, alpha, rngs, memory, model)
 
 
 def gml2o_run(
@@ -150,22 +141,16 @@ def gml2o_run(
     and ``test_deterministic_guard_converges_on_quadratic`` read from
     :func:`gml2o_deterministic_run`.
     """
-
-    def grads_fn(k, z):
-        n = sample_size(k, samples)
-        return problem.averaged_gradient(z, n, draws_rng), n
-
-    batched = hasattr(problem, "eval_batch")
-    if batched and guard_rng is None:
+    if hasattr(problem, "eval_batch") and guard_rng is None:
         raise ValueError("guard_rng is required for mini-batch guard evaluation")
-
-    def evaluator_fn(k):
-        if batched:
-            idx = problem.sample_batch_indices(guard_batch, guard_rng)
-            return (lambda x: problem.eval_batch(x, idx)), None
-        return problem.eval, _REUSE
-
-    return _guarded_loop(problem, params, schedule, steps, x0, grads_fn, evaluator_fn, keep_iterates)
+    step = functools.partial(
+        _guarded_loop,
+        model=params,
+        samples=samples,
+        guard_rngs=None if guard_rng is None else [guard_rng],
+        guard_batch=guard_batch,
+    )
+    return run_steps(problem, step, x0, steps, schedule, draws_rng, keep_iterates)
 
 
 def gml2o_deterministic_run(
@@ -181,12 +166,6 @@ def gml2o_deterministic_run(
     ``direction_norm`` rows monitor the exact common-descent direction norm
     at each base point, the quantity driven to zero by the guard.
     """
-
-    def grads_fn(k, z):
-        return problem.full_jacobian(z), None
-
-    def evaluator_fn(k):
-        return problem.eval, _REUSE
-
+    step = functools.partial(gml2o_det_step, model=params)
     schedule = StepSchedule("constant", alpha)
-    return _guarded_loop(problem, params, schedule, steps, x0, grads_fn, evaluator_fn, keep_iterates)
+    return run_steps(problem, step, x0, steps, schedule, None, keep_iterates)

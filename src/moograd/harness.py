@@ -1,42 +1,47 @@
 """Config-driven experiment runner.
 
 One JSON document describes an experiment: problem, optimizer, schedules,
-seeds and an optional population of start points. Every (seed, member) run
-owns independent RNG streams derived as
+seeds and an optional population of start points. ``OPTIMIZERS`` is the
+optimizer registry: each name maps to its population step function and what
+a run of it needs; the step's keyword-only parameters are the config params
+it accepts. Every (seed, member) run owns independent RNG streams derived as
 ``SeedSequence(seed, spawn_key=(member, purpose))`` with purposes
 0 = initial point, 1 = gradient draws, 2 = guard batches, so runs are
-deterministic and independent of each other. The min-norm methods (mgda,
-smg, dssmg) step every (seed, member) run of a config together as one
-(P, N) array; each run's CSV is byte-identical to running it alone. Outputs
-are one CSV per run plus a manifest sufficient to re-run the experiment
-exactly; CSV floats carry 17 significant digits and the manifest stores a
-content hash computed with the wall-time column blanked (timestamps are
-excluded from determinism checks).
+deterministic and independent of each other. All (seed, member) runs of a
+config step together as one (P, N) array through
+``optimizers.run_population``; each run's CSV is byte-identical to running
+it alone. Outputs are one CSV per run plus a manifest sufficient to re-run
+the experiment exactly; CSV floats carry 17 significant digits and the
+manifest stores a content hash computed with the wall-time column blanked
+(timestamps are excluded from determinism checks).
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import inspect
 import json
 import os
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from . import optimizers as opt
-from .guard import gml2o_deterministic_run, gml2o_run
+from .guard import _guarded_loop, gml2o_det_step
 from .metrics import extract_front, front_reference, hypervolume_2d, hypervolume_3d
 from .minnorm import criticality_measure
 from .ml2o import (
+    CheckpointError,
     Ml2oParams,
     init_params,
-    init_state,
+    learned_step,
     load_checkpoint,
     meta_train,
-    ml2o_direction,
     save_checkpoint,
 )
 from .problems import _REGISTRY as _PROBLEMS
@@ -57,23 +62,44 @@ def derive_rng(seed: int, member: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(member, purpose)))
 
 
-_OPTIMIZER_PARAMS: dict[str, set[str]] = {
-    "mgda": set(),
-    "smg": set(),
-    "dssmg": set(),
-    "moco": {"beta", "gamma", "rho", "track_bound"},
-    "composite": {"beta"},
-    "sgd": set(),
-    "momentum": {"momentum"},
-    "adam": {"beta1", "beta2", "eps"},
-    "rmsprop": {"rms_decay", "eps"},
-    "adadelta": {"ada_decay", "eps"},
-    "ml2o": {"checkpoint", "exact"},
-    "gml2o": {"checkpoint", "guard_batch"},
-    "gml2o_det": {"checkpoint"},
+@dataclass(frozen=True)
+class Optimizer:
+    """A registry entry: the population step and what a run of it needs.
+
+    The step is called as ``step(problem, xs, k, alpha, rngs, memory,
+    **bound)``. The run binds ``samples`` when the step takes it, ``model``
+    (the loaded checkpoint) when ``checkpoint`` is set, ``guard_rngs`` (the
+    purpose-2 streams) when ``guard`` is set, and the config params.
+    """
+
+    step: Callable
+    samples: bool = False  # a sample_schedule is required
+    checkpoint: bool = False  # optimizer.params.checkpoint is required
+    guard: bool = False  # guard batches draw from the purpose-2 streams
+    constant_step: bool = False  # the step schedule must be constant
+
+    def params(self) -> set[str]:
+        """Config params accepted: the step's keyword-only parameters, plus the checkpoint."""
+        sig = inspect.signature(self.step).parameters.values()
+        names = {p.name for p in sig if p.kind is inspect.Parameter.KEYWORD_ONLY}
+        return names | ({"checkpoint"} if self.checkpoint else set())
+
+
+OPTIMIZERS: dict[str, Optimizer] = {
+    "mgda": Optimizer(opt.mgda_step),
+    "smg": Optimizer(opt.smg_step),
+    "dssmg": Optimizer(opt.dssmg_step, samples=True),
+    "moco": Optimizer(opt.moco_like_step),
+    "composite": Optimizer(opt.composite_weight_step),
+    "sgd": Optimizer(opt.sgd_step),
+    "momentum": Optimizer(opt.momentum_step),
+    "adam": Optimizer(opt.adam_step),
+    "rmsprop": Optimizer(opt.rmsprop_step),
+    "adadelta": Optimizer(opt.adadelta_step),
+    "ml2o": Optimizer(learned_step, checkpoint=True),
+    "gml2o": Optimizer(_guarded_loop, samples=True, checkpoint=True, guard=True),
+    "gml2o_det": Optimizer(gml2o_det_step, checkpoint=True, constant_step=True),
 }
-_NEEDS_SAMPLES = {"dssmg", "gml2o"}
-_NEEDS_CHECKPOINT = {"ml2o", "gml2o", "gml2o_det"}
 
 _RUN_KEYS = {
     "problem",
@@ -87,25 +113,36 @@ _RUN_KEYS = {
 }
 
 
-def _check_problem_block(block, errors: list[str]) -> None:
+def _check_block(block, field: str, registry: dict, params_of: Callable, errors: list[str]):
+    """Check a ``{"name", "params"}`` block against ``registry``.
+
+    ``params_of(registry[name])`` is the set of params the entry accepts.
+    Returns the entry and its params when both are valid enough to check
+    further, else ``(None, None)``.
+    """
     if not isinstance(block, dict):
-        errors.append("problem: must be an object with 'name' and 'params'")
-        return
+        errors.append(f"{field}: must be an object with 'name' and 'params'")
+        return None, None
     unknown = set(block) - {"name", "params"}
     if unknown:
-        errors.append(f"problem: unknown fields {sorted(unknown)}")
+        errors.append(f"{field}: unknown fields {sorted(unknown)}")
     name = block.get("name")
-    if name not in _PROBLEMS:
-        errors.append(f"problem.name: unknown problem {name!r}; registered: {sorted(_PROBLEMS)}")
-        return
+    if name not in registry:
+        errors.append(f"{field}.name: unknown {field} {name!r}; registered: {sorted(registry)}")
+        return None, None
     params = block.get("params", {})
     if not isinstance(params, dict):
-        errors.append("problem.params: must be an object")
-        return
-    allowed = set(inspect.signature(_PROBLEMS[name]).parameters)
-    unknown = set(params) - allowed
+        errors.append(f"{field}.params: must be an object")
+        return registry[name], None
+    accepted = params_of(registry[name])
+    unknown = set(params) - accepted
     if unknown:
-        errors.append(f"problem.params: unknown fields {sorted(unknown)} (allowed: {sorted(allowed)})")
+        errors.append(f"{field}.params: unknown fields {sorted(unknown)} (allowed: {sorted(accepted)})")
+    return registry[name], params
+
+
+def _problem_params(factory) -> set[str]:
+    return set(inspect.signature(factory).parameters)
 
 
 def validate_run_config(cfg: dict) -> list[str]:
@@ -118,37 +155,20 @@ def validate_run_config(cfg: dict) -> list[str]:
     for key in ("problem", "optimizer", "steps", "step_schedule", "seeds", "outputs"):
         if key not in cfg:
             errors.append(f"missing field {key!r}")
-    _check_problem_block(cfg.get("problem"), errors)
+    _check_block(cfg.get("problem"), "problem", _PROBLEMS, _problem_params, errors)
 
-    optblock = cfg.get("optimizer")
-    optname = None
-    if not isinstance(optblock, dict):
-        errors.append("optimizer: must be an object with 'name' and 'params'")
-    else:
-        unknown = set(optblock) - {"name", "params"}
-        if unknown:
-            errors.append(f"optimizer: unknown fields {sorted(unknown)}")
-        optname = optblock.get("name")
-        if optname not in _OPTIMIZER_PARAMS:
-            errors.append(
-                f"optimizer.name: unknown optimizer {optname!r}; "
-                f"known: {sorted(_OPTIMIZER_PARAMS)}"
-            )
-        else:
-            params = optblock.get("params", {})
-            if not isinstance(params, dict):
-                errors.append("optimizer.params: must be an object")
-            else:
-                unknown = set(params) - _OPTIMIZER_PARAMS[optname]
-                if unknown:
-                    errors.append(
-                        f"optimizer.params: unknown fields {sorted(unknown)} "
-                        f"(allowed: {sorted(_OPTIMIZER_PARAMS[optname])})"
-                    )
-                if optname in _NEEDS_CHECKPOINT and "checkpoint" not in params:
-                    errors.append(f"optimizer.params.checkpoint: required for {optname!r}")
-            if optname in _NEEDS_SAMPLES and "sample_schedule" not in cfg:
-                errors.append(f"sample_schedule: required for optimizer {optname!r}")
+    entry, params = _check_block(
+        cfg.get("optimizer"), "optimizer", OPTIMIZERS, Optimizer.params, errors
+    )
+    optname = cfg["optimizer"]["name"] if entry else None
+    if params is not None:
+        if entry.checkpoint and "checkpoint" not in params:
+            errors.append(f"optimizer.params.checkpoint: required for {optname!r}")
+        batch = params.get("guard_batch", 1)
+        if isinstance(batch, bool) or not isinstance(batch, int) or batch < 1:
+            errors.append(f"optimizer.params.guard_batch: must be an integer >= 1, got {batch!r}")
+    if entry and entry.samples and "sample_schedule" not in cfg:
+        errors.append(f"sample_schedule: required for optimizer {optname!r}")
 
     steps = cfg.get("steps")
     if steps is not None and (not isinstance(steps, int) or steps < 1):
@@ -163,6 +183,8 @@ def validate_run_config(cfg: dict) -> list[str]:
                 opt.StepSchedule(sched.get("kind", "constant"), sched.get("alpha", 0.01))
             except ValueError as exc:
                 errors.append(f"step_schedule: {exc}")
+            if entry and entry.constant_step and sched.get("kind", "constant") != "constant":
+                errors.append(f"step_schedule: optimizer {optname!r} requires kind 'constant'")
 
     samp = cfg.get("sample_schedule")
     if samp is not None:
@@ -190,88 +212,11 @@ def validate_run_config(cfg: dict) -> list[str]:
     return errors
 
 
-def _build_step_fn(name, problem, params, schedule, samples, ml2o_params):
-    if name == "moco":
-        return lambda st, rng: opt.moco_like_step(problem, st, schedule, rng, **params)
-    if name == "composite":
-        return lambda st, rng: opt.composite_weight_step(problem, st, schedule, rng, **params)
-    if name in opt.SCALARIZED_RULES:
-        return lambda st, rng: opt.scalarized_step(problem, st, schedule, rng, rule=name, **params)
-    if name == "ml2o":
-        exact = bool(params.get("exact", False))
-
-        def step(st, rng):
-            mst = st.memory.get("ml2o_state")
-            if mst is None:
-                mst = init_state(ml2o_params.m, ml2o_params.hidden, problem.dim)
-            if exact:
-                y_rows, n = problem.full_jacobian(st.x), None
-            else:
-                n = opt.sample_size(st.k, samples) if samples else 1
-                y_rows = problem.averaged_gradient(st.x, n, rng)
-            g, mst = ml2o_direction(y_rows, mst, ml2o_params)
-            alpha = schedule.at(st.k)
-            new = opt.OptimizerState(
-                x=st.x - alpha * g, k=st.k + 1, memory={**st.memory, "ml2o_state": mst}
-            )
-            return new, opt.StepInfo(g, alpha, n_samples=n)
-
-        return step
-    raise ValueError(f"no step function for optimizer {name!r}")
-
-
 @dataclass
 class RunResult:
     seed: int
     member: int | None
     record: RunRecord
-
-
-def _run_population(cfg, problem, schedule, samples, tasks) -> list[RunResult]:
-    """Every (seed, member) run of a min-norm config, stepped as one population."""
-    draws, x0s = [], []
-    for seed, member in tasks:
-        mb = 0 if member is None else member
-        x0s.append(problem.initial_point(derive_rng(seed, mb, PURPOSE_INIT)))
-        draws.append(derive_rng(seed, mb, PURPOSE_DRAWS))
-    records = opt.run_population(
-        problem, cfg["optimizer"]["name"], np.array(x0s), cfg["steps"], schedule, draws, samples
-    )
-    return [RunResult(seed, member, rec) for (seed, member), rec in zip(tasks, records)]
-
-
-def _run_single(cfg, problem, schedule, samples, ml2o_params, seed, member) -> RunResult:
-    name = cfg["optimizer"]["name"]
-    params = dict(cfg["optimizer"].get("params", {}))
-    params.pop("checkpoint", None)
-    mb = 0 if member is None else member
-    init_rng = derive_rng(seed, mb, PURPOSE_INIT)
-    draws_rng = derive_rng(seed, mb, PURPOSE_DRAWS)
-    x0 = problem.initial_point(init_rng)
-    steps = cfg["steps"]
-    if name == "gml2o":
-        record = gml2o_run(
-            problem,
-            ml2o_params,
-            schedule,
-            samples,
-            steps,
-            x0,
-            draws_rng,
-            guard_rng=derive_rng(seed, mb, PURPOSE_GUARD),
-            guard_batch=int(params.get("guard_batch", 512)),
-            keep_iterates=False,
-        )
-    elif name == "gml2o_det":
-        if schedule.kind != "constant":
-            raise ValueError("gml2o_det requires a constant step schedule")
-        record = gml2o_deterministic_run(
-            problem, ml2o_params, schedule.alpha, steps, x0, keep_iterates=False
-        )
-    else:
-        step_fn = _build_step_fn(name, problem, params, schedule, samples, ml2o_params)
-        record = opt.run_steps(problem, step_fn, x0, steps, draws_rng, keep_iterates=False)
-    return RunResult(seed, member, record)
 
 
 def _csv_lines(record: RunRecord, m: int) -> list[str]:
@@ -317,18 +262,38 @@ def _write_manifest(out_dir: str, doc: dict) -> None:
     os.replace(tmp, os.path.join(out_dir, "manifest.json"))
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as a new file.
+
+    An existing file is unlinked first: opening it with "w" would truncate it
+    in place, and on ext4 each such truncation forces its old blocks to disk
+    (re-running a 400-run experiment into its own directory took 19 s
+    instead of 0.4 s).
+    """
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
                    write_front: bool = False) -> list[RunResult]:
     """Execute every (seed, member) run of a config and persist CSVs + manifest.
 
-    ``threads`` must be 1: the runs execute in this thread, the min-norm
-    methods as one population array.
+    ``threads`` must be 1: the runs execute in this thread as one population.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads!r}")
     errors = validate_run_config(cfg)
     if errors:
         raise ConfigError(errors)
+    entry = OPTIMIZERS[cfg["optimizer"]["name"]]
+    bound = dict(cfg["optimizer"].get("params", {}))
+    if entry.checkpoint:
+        try:
+            bound["model"] = load_checkpoint(bound.pop("checkpoint"))
+        except CheckpointError as exc:
+            raise ConfigError([f"optimizer.params.checkpoint: {exc}"]) from exc
     out_dir = out_dir or cfg["outputs"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -338,32 +303,34 @@ def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
     samples = None
     if "sample_schedule" in cfg:
         samples = opt.SampleSchedule(cfg["sample_schedule"]["n_base"], cfg["sample_schedule"]["q"])
-    ml2o_params = None
-    optname = cfg["optimizer"]["name"]
-    if optname in _NEEDS_CHECKPOINT:
-        ml2o_params = load_checkpoint(cfg["optimizer"]["params"]["checkpoint"])
+    if "samples" in inspect.signature(entry.step).parameters:
+        bound["samples"] = samples
 
     population = cfg.get("population")
     members = [None] if population is None else list(range(population))
     tasks = [(seed, member) for seed in cfg["seeds"] for member in members]
 
+    def streams(purpose: int) -> list[np.random.Generator]:
+        """One stream per run for ``purpose``."""
+        return [derive_rng(seed, 0 if member is None else member, purpose) for seed, member in tasks]
+
+    xs0 = np.array([problem.initial_point(rng) for rng in streams(PURPOSE_INIT)])
+    if entry.guard:
+        bound["guard_rngs"] = streams(PURPOSE_GUARD)
+    step = functools.partial(entry.step, **bound)
+
     written: list[str] = []
     try:
-        if optname in opt.MIN_NORM_METHODS:
-            results = _run_population(cfg, problem, schedule, samples, tasks)
-        else:
-            results = [
-                _run_single(cfg, problem, schedule, samples, ml2o_params, seed, member)
-                for seed, member in tasks
-            ]
-
+        records = opt.run_population(
+            problem, step, xs0, cfg["steps"], schedule, streams(PURPOSE_DRAWS)
+        )
+        results = [RunResult(seed, member, rec) for (seed, member), rec in zip(tasks, records)]
         manifest_runs = []
         for res in results:
             stem = f"seed{res.seed}" + ("" if res.member is None else f"_member{res.member}")
             path = os.path.join(out_dir, stem + ".csv")
             lines = _csv_lines(res.record, problem.objectives)
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            _write_file(path, "\n".join(lines) + "\n")
             written.append(path)
             manifest_runs.append(
                 {
@@ -383,12 +350,10 @@ def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
                 pts = np.array(
                     [r.record.final_losses for r in results if r.seed == seed], dtype=np.float64
                 )
-                front = extract_front(pts)
+                rows = [",".join(f"f_{i + 1}" for i in range(problem.objectives))]
+                rows += [",".join(f"{v:.17g}" for v in row) for row in extract_front(pts)]
                 fpath = os.path.join(out_dir, f"front_seed{seed}.csv")
-                with open(fpath, "w") as fh:
-                    fh.write(",".join(f"f_{i + 1}" for i in range(problem.objectives)) + "\n")
-                    for row in front:
-                        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                _write_file(fpath, "\n".join(rows) + "\n")
                 written.append(fpath)
         _write_manifest(
             out_dir,
@@ -441,7 +406,7 @@ def validate_train_config(cfg: dict) -> list[str]:
             errors.append(f"missing field {key!r}")
     block = cfg.get("problem_sampler")
     if block is not None:
-        _check_problem_block(block, errors)
+        _check_block(block, "problem", _PROBLEMS, _problem_params, errors)
         if isinstance(block, dict) and "seed" in block.get("params", {}):
             errors.append("problem_sampler.params.seed: drawn per epoch, must not be fixed")
     steps, window = cfg.get("steps"), cfg.get("window")

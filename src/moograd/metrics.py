@@ -11,12 +11,6 @@ from .trace import RunRecord
 
 
 @dataclass
-class ObjectivePoint:
-    values: np.ndarray
-    source: int | str | None = None
-
-
-@dataclass
 class MonitorSeries:
     """Weighted criticality series: term k is alpha_k * |grad F(x_k)' lam*|^2."""
 
@@ -38,12 +32,6 @@ def dominates(a, b) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
-def _as_value_matrix(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        return np.asarray(points, dtype=np.float64)
-    return np.asarray([np.asarray(p.values, dtype=np.float64) for p in points])
-
-
 # Rows per block of the pairwise dominance compare: bounds its n x block x M
 # temporaries for large populations.
 _DOMINANCE_BLOCK = 256
@@ -63,14 +51,10 @@ def _nondominated_mask(values: np.ndarray) -> np.ndarray:
     return keep
 
 
-def extract_front(points):
-    """Return exactly the points not dominated by any other, in input order."""
-    if len(points) == 0:
-        return points[:0] if isinstance(points, np.ndarray) else []
-    mask = _nondominated_mask(_as_value_matrix(points))
-    if isinstance(points, np.ndarray):
-        return points[mask]
-    return [p for p, keep in zip(points, mask) if keep]
+def extract_front(points) -> np.ndarray:
+    """Return exactly the rows of ``points`` (P, M) not dominated by any other, in input order."""
+    points = np.asarray(points, dtype=np.float64)
+    return points[_nondominated_mask(points)]
 
 
 def hypervolume_2d(front, reference) -> float:
@@ -78,7 +62,7 @@ def hypervolume_2d(front, reference) -> float:
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape != (2,):
         raise ValueError("reference must be a length-2 point")
-    values = _as_value_matrix(front)
+    values = np.asarray(front, dtype=np.float64)
     if values.size == 0:
         return 0.0
     if values.shape[1] != 2:
@@ -100,7 +84,7 @@ def hypervolume_2d(front, reference) -> float:
 def hypervolume_3d(front, reference) -> float:
     """Exact 3-objective hypervolume via a sweep over the third coordinate."""
     reference = np.asarray(reference, dtype=np.float64)
-    values = _as_value_matrix(front)
+    values = np.asarray(front, dtype=np.float64)
     if values.size == 0:
         return 0.0
     if values.shape[1] != 3 or reference.shape != (3,):
@@ -122,7 +106,7 @@ def hypervolume_3d(front, reference) -> float:
 
 def front_reference(*fronts, margin: float = 0.1) -> np.ndarray:
     """Componentwise max over all fronts, pushed out by a relative margin."""
-    stacked = np.vstack([_as_value_matrix(f) for f in fronts if len(f)])
+    stacked = np.vstack([np.asarray(f, dtype=np.float64) for f in fronts if len(f)])
     top = stacked.max(axis=0)
     span = top - stacked.min(axis=0)
     return top + margin * np.maximum(span, 1e-12)

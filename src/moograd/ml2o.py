@@ -25,6 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, ShapeError, Tape, Var
+from .optimizers import descend, sample_size
 
 GATES = ("i", "f", "g", "o")
 CHECKPOINT_VERSION = 1
@@ -201,18 +202,34 @@ def ml2o_direction(y_rows: np.ndarray, state: Ml2oState, params: Ml2oParams):
     return np.asarray(g_col).reshape(-1), new_state
 
 
-def ml2o_step(problem, x, state: Ml2oState, params: Ml2oParams, alpha: float,
-              rng: np.random.Generator | None = None, y_rows=None, n_samples: int = 1):
-    """Apply one learned update: x <- x - alpha * g. State always advances.
+def learned_directions(ys: np.ndarray, memory: dict, params: Ml2oParams) -> np.ndarray:
+    """``ml2o_direction`` of every gradient stack in ``ys`` (P, M, N), stacked as (P, N).
 
-    Gradients follow the problem's capability: an explicit ``y_rows`` stack
-    wins, otherwise ``n_samples`` averaged draws when ``rng`` is given, else
-    the exact Jacobian.
+    Row p carries its own recurrent state in ``memory["ml2o_states"]``,
+    created on the first call.
     """
-    if y_rows is None:
-        y_rows = problem.full_jacobian(x) if rng is None else problem.averaged_gradient(x, n_samples, rng)
-    g, new_state = ml2o_direction(y_rows, state, params)
-    return x - alpha * g, new_state, g
+    if "ml2o_states" not in memory:
+        memory["ml2o_states"] = [init_state(params.m, params.hidden, ys.shape[2]) for _ in ys]
+    states = memory["ml2o_states"]
+    out = np.empty((ys.shape[0], ys.shape[2]))
+    for p, y in enumerate(ys):
+        out[p], states[p] = ml2o_direction(y, states[p], params)
+    return out
+
+
+def learned_step(problem, xs, k, alpha, rngs, memory, model: Ml2oParams, samples=None, *,
+                 exact: bool = False):
+    """The ml2o population step: x <- x - alpha * g, g from :func:`ml2o_direction`.
+
+    Gradients are the exact Jacobians when ``exact``, otherwise the mean of
+    N_k draws under the sample schedule ``samples``, or one draw without it.
+    """
+    if exact:
+        grads, n = problem.jacobian_many(xs), None
+    else:
+        n = 1 if samples is None else sample_size(k, samples)
+        grads = problem.averaged_gradient_many(xs, n, rngs)
+    return descend(xs, alpha, learned_directions(grads, memory, model), n)
 
 
 def meta_loss(f_curr, f_prev):
@@ -402,6 +419,8 @@ def load_checkpoint(path: str) -> Ml2oParams:
             raise CheckpointError(
                 f"array {name!r}: {flat.size} values cannot fill shape {shape}"
             )
+        if not ad.all_finite(flat):
+            raise CheckpointError(f"array {name!r}: non-finite values")
         arrays[name] = flat.reshape(shape)
     extra = sorted(set(doc["arrays"]) - set(shapes))
     if extra:

@@ -353,10 +353,6 @@ def make_problem(name: str, **params) -> MooProblem:
     return _REGISTRY[name](**params)
 
 
-def registered_problems() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 register_named_problem("quadratic_pair", make_quadratic_pair)
 register_named_problem("toy_mtl", make_toy_mtl)
 # Slots for the classic named suites (BK1, DOG1, Lov1, MOP5) stay open:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from moograd.cli import main
@@ -64,6 +65,19 @@ def test_runtime_error_exit_code(tmp_path):
         optimizer={"name": "ml2o", "params": {"checkpoint": str(tmp_path / "missing.json")}},
     )
     assert main(["run", "--config", cfg]) == 2
+
+
+def test_non_finite_checkpoint_is_config_error(tmp_path, capsys):
+    from moograd.ml2o import init_params, save_checkpoint
+
+    params = init_params(2, 3, seed=0)
+    params.arrays["head.b"] = params.arrays["head.b"] * np.nan
+    ck = str(tmp_path / "nan.json")
+    save_checkpoint(params, ck)
+    cfg = write_cfg(tmp_path, optimizer={"name": "ml2o", "params": {"checkpoint": ck}})
+    assert main(["run", "--config", cfg]) == 1
+    assert "'head.b'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_train_subcommand(tmp_path):

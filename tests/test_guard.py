@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from moograd import guard, minnorm, optimizers
 from moograd.guard import GuardDecision, gml2o_deterministic_run, gml2o_run, guard_select
 from moograd.ml2o import init_params
 from moograd.optimizers import (
-    OptimizerState,
     SampleSchedule,
     StepSchedule,
     dssmg_step,
@@ -61,8 +61,8 @@ def test_zero_head_guarded_run_equals_dssmg(trained_free_setup):
     rec_guard = gml2o_run(
         prob, params, sched, samp, 25, x0, np.random.default_rng(9), keep_iterates=True
     )
-    step = lambda st, r: dssmg_step(prob, st, sched, samp, r)
-    rec_plain = run_steps(prob, step, x0, 25, np.random.default_rng(9), keep_iterates=True)
+    step = partial(dssmg_step, samples=samp)
+    rec_plain = run_steps(prob, step, x0, 25, sched, np.random.default_rng(9), keep_iterates=True)
     assert all(d.chosen == "fallback" for d in rec_guard.meta["decisions"])
     for a, b in zip(rec_guard.iterates, rec_plain.iterates):
         assert np.array_equal(a, b)
@@ -122,8 +122,8 @@ def test_guard_overhead_one_extra_eval_pair_per_step():
     x0 = prob.initial_point(np.random.default_rng(0))
     steps = 25
     guarded = gml2o_run(prob, params, sched, samp, steps, x0, np.random.default_rng(1))
-    step = lambda st, r: dssmg_step(prob, st, sched, samp, r)
-    plain = run_steps(prob, step, x0, steps, np.random.default_rng(1))
+    step = partial(dssmg_step, samples=samp)
+    plain = run_steps(prob, step, x0, steps, sched, np.random.default_rng(1))
     # one vector evaluation per step for the trace, two for the guard
     # (base-point values are carried over), plus the initial base evaluation
     assert plain.meta["eval_count"] == steps
@@ -153,12 +153,12 @@ def test_nonconverged_solves_are_tallied(monkeypatch):
     guarded = gml2o_run(prob, params, sched, samp, 9, x0, np.random.default_rng(1))
     assert guarded.meta["nonconverged_solves"] == 5
     calls.clear()
-    step = lambda st, r: dssmg_step(prob, st, sched, samp, r)
-    plain = run_steps(prob, step, x0, 9, np.random.default_rng(1))
+    step = partial(dssmg_step, samples=samp)
+    plain = run_steps(prob, step, x0, 9, sched, np.random.default_rng(1))
     assert plain.meta["nonconverged_solves"] == 5
     calls.clear()
     rngs = [np.random.default_rng(1), np.random.default_rng(2)]
-    population = run_population(prob, "dssmg", np.stack([x0, x0]), 9, sched, rngs, samp)
+    population = run_population(prob, step, np.stack([x0, x0]), 9, sched, rngs)
     assert [rec.meta["nonconverged_solves"] for rec in population] == [5, 5]
 
 
@@ -195,14 +195,13 @@ def test_deterministic_guard_converges_on_quadratic():
 
 def test_deterministic_guard_equals_mgda_when_learned_is_worse():
     prob = make_quadratic_pair(3, seed=11)
-    # huge head bias: the learned candidate always jumps far away
-    params = init_params(2, 3, seed=0, scale=0.0)
-    params.arrays["head.b"] = np.array([[50.0]])
     x0 = prob.initial_point(np.random.default_rng(2))
-    rec = gml2o_deterministic_run(prob, params, alpha=0.5, steps=20, x0=x0)
-    assert all(d.chosen == "fallback" for d in rec.meta["decisions"])
-    sched = StepSchedule("constant", 0.5)
-    plain = run_steps(
-        prob, lambda st, r: mgda_step(prob, st, sched), x0, 20, np.random.default_rng(0)
-    )
-    assert np.array_equal(rec.meta["final_x"], plain.meta["final_x"])
+    plain = run_steps(prob, mgda_step, x0, 20, StepSchedule("constant", 0.5))
+    # huge head bias: the learned candidate always jumps far away; a NaN one
+    # gives NaN losses, which must never win
+    for head_bias in (50.0, np.nan):
+        params = init_params(2, 3, seed=0, scale=0.0)
+        params.arrays["head.b"] = np.array([[head_bias]])
+        rec = gml2o_deterministic_run(prob, params, alpha=0.5, steps=20, x0=x0)
+        assert all(d.chosen == "fallback" for d in rec.meta["decisions"])
+        assert np.array_equal(rec.meta["final_x"], plain.meta["final_x"])

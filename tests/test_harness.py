@@ -99,11 +99,89 @@ def manifest_hashes(out):
         return {(r["seed"], r["member"]): r["content_hash"] for r in json.load(fh)["runs"]}
 
 
-@pytest.mark.parametrize("name", ["mgda", "smg", "dssmg"])
-def test_member_hash_independent_of_population_size(tmp_path, name):
+# The optimizer registry's validation contract: the config params each
+# optimizer accepts, and which optimizers require a sample schedule or a
+# checkpoint. Every other param is rejected.
+ACCEPTED_PARAMS = {
+    "mgda": set(),
+    "smg": set(),
+    "dssmg": set(),
+    "moco": {"beta", "gamma", "rho", "track_bound"},
+    "composite": {"beta"},
+    "sgd": set(),
+    "momentum": {"momentum"},
+    "adam": {"beta1", "beta2", "eps"},
+    "rmsprop": {"rms_decay", "eps"},
+    "adadelta": {"ada_decay", "eps"},
+    "ml2o": {"checkpoint", "exact"},
+    "gml2o": {"checkpoint", "guard_batch"},
+    "gml2o_det": {"checkpoint"},
+}
+NEEDS_SAMPLES = {"dssmg", "gml2o"}
+NEEDS_CHECKPOINT = {"ml2o", "gml2o", "gml2o_det"}
+PARAM_VALUES = {"checkpoint": "ck.json", "exact": True, "guard_batch": 8}
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTED_PARAMS))
+def test_registry_validation_contract(name):
+    accepted = ACCEPTED_PARAMS[name]
+    params = {key: PARAM_VALUES.get(key, 0.5) for key in accepted}
+    assert validate_run_config(base_config("o", optimizer={"name": name, "params": params})) == []
+    every = set().union(*ACCEPTED_PARAMS.values()) | {"zeta"}
+    for extra in sorted(every - accepted):
+        errors = validate_run_config(
+            base_config("o", optimizer={"name": name, "params": {**params, extra: 1}})
+        )
+        assert errors == [
+            f"optimizer.params: unknown fields {[extra]} (allowed: {sorted(accepted)})"
+        ]
+    cfg = base_config("o", optimizer={"name": name, "params": params})
+    del cfg["sample_schedule"]
+    errors = validate_run_config(cfg)
+    assert errors == ([f"sample_schedule: required for optimizer {name!r}"] if name in NEEDS_SAMPLES else [])
+    without = {k: v for k, v in params.items() if k != "checkpoint"}
+    errors = validate_run_config(base_config("o", optimizer={"name": name, "params": without}))
+    assert errors == (
+        [f"optimizer.params.checkpoint: required for {name!r}"] if name in NEEDS_CHECKPOINT else []
+    )
+
+
+@pytest.mark.parametrize("bad", [0, -3, 1.5, True, "8"])
+def test_guard_batch_must_be_positive_integer(tmp_path, bad):
+    out = str(tmp_path / "gb")
+    params = {"checkpoint": str(tmp_path / "ck.json"), "guard_batch": bad}
+    with pytest.raises(ConfigError, match="guard_batch: must be an integer >= 1"):
+        run_experiment(base_config(out, optimizer={"name": "gml2o", "params": params}))
+    assert not os.path.exists(out)
+
+
+def test_deterministic_guard_requires_constant_schedule(tmp_path):
+    out = str(tmp_path / "det")
+    cfg = base_config(
+        out,
+        optimizer={"name": "gml2o_det", "params": {"checkpoint": str(tmp_path / "ck.json")}},
+        step_schedule={"kind": "harmonic", "alpha": 0.3},
+    )
+    assert validate_run_config(cfg) == [
+        "step_schedule: optimizer 'gml2o_det' requires kind 'constant'"
+    ]
+    with pytest.raises(ConfigError, match="constant"):
+        run_experiment(cfg)
+    assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("ck") / "ck.json")
+    save_checkpoint(init_params(2, 4, 0), path)
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTED_PARAMS))
+def test_member_hash_independent_of_population_size(tmp_path, name, checkpoint):
     # batching must not break the (seed, member, purpose) stream contract:
     # member m's run is the same whether the population has m + 1 members or 7
-    opt = {"name": name, "params": {}}
+    opt = {"name": name, "params": {"checkpoint": checkpoint} if name in NEEDS_CHECKPOINT else {}}
     full = str(tmp_path / "p7")
     run_experiment(base_config(full, optimizer=opt, population=7, seeds=[3]))
     big = manifest_hashes(full)

@@ -3,7 +3,7 @@ import pytest
 
 from moograd.metrics import (
     MonitorSeries,
-    ObjectivePoint,
+    _nondominated_mask,
     dominates,
     extract_front,
     front_reference,
@@ -11,7 +11,7 @@ from moograd.metrics import (
     hypervolume_3d,
     theorem_monitor,
 )
-from moograd.optimizers import OptimizerState, StepSchedule, mgda_step, run_steps
+from moograd.optimizers import StepSchedule, mgda_step, run_steps
 from moograd.problems import QuadraticPair, make_quadratic_pair
 from moograd.trace import RunRecord, StepRow
 
@@ -44,15 +44,13 @@ def test_extract_front_matches_bruteforce_and_is_stable():
     front = extract_front(vals)
     expected = vals[brute_front(vals)]
     assert np.array_equal(front, expected)
-    pts = [ObjectivePoint(v, i) for i, v in enumerate(vals)]
-    fr_pts = extract_front(pts)
-    assert [p.source for p in fr_pts] == brute_front(vals)
+    assert np.flatnonzero(_nondominated_mask(vals)).tolist() == brute_front(vals)
 
 
 def test_nondominated_mask_basics():
     pts = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    front = extract_front([ObjectivePoint(v, i) for i, v in enumerate(pts)])
-    assert [p.source for p in front] == [0, 1, 3]
+    assert np.flatnonzero(_nondominated_mask(pts)).tolist() == [0, 1, 3]
+    assert np.array_equal(extract_front(pts), pts[[0, 1, 3]])
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -70,8 +68,7 @@ def test_extract_front_matches_double_loop_with_ties_and_duplicates(m):
                     break
             if not dominated:
                 keep.append(i)
-        pts = [ObjectivePoint(v, i) for i, v in enumerate(vals)]
-        assert [p.source for p in extract_front(pts)] == keep
+        assert np.flatnonzero(_nondominated_mask(vals)).tolist() == keep
         assert np.array_equal(extract_front(vals), vals[keep])
 
 
@@ -154,7 +151,7 @@ def test_theorem_monitor_partial_sums_nondecreasing():
     prob = make_quadratic_pair(4, seed=2)
     x0 = prob.initial_point(np.random.default_rng(0))
     sched = StepSchedule("harmonic")
-    rec = run_steps(prob, lambda st, r: mgda_step(prob, st, sched), x0, 50, np.random.default_rng(0))
+    rec = run_steps(prob, mgda_step, x0, 50, sched)
     series = theorem_monitor(rec, prob)
     assert len(series) == 50
     assert np.all(np.diff(series.partial_sums) >= -1e-18)

@@ -14,12 +14,12 @@ from moograd.ml2o import (
     evaluate_meta_loss,
     init_params,
     init_state,
+    learned_step,
     load_checkpoint,
     lstm_cell,
     meta_loss,
     meta_train,
     ml2o_direction,
-    ml2o_step,
     preprocess_gradient,
     save_checkpoint,
     store_from_params,
@@ -153,13 +153,13 @@ def test_ml2o_step_zero_alpha_state_still_advances():
     params = init_params(2, 4, seed=6)
     prob = make_quadratic_pair(3, seed=1)
     x0 = prob.initial_point(np.random.default_rng(0))
-    state = init_state(2, 4, 3)
-    x1, state1, g = ml2o_step(prob, x0, state, params, alpha=0.0)
-    assert np.array_equal(x0, x1)
-    assert not np.allclose(state1.shared_h, state.shared_h)
+    memory = {}
+    xs1, *_ = learned_step(prob, x0[None], 1, 0.0, None, memory, params, exact=True)
+    assert np.array_equal(x0, xs1[0])
+    assert not np.allclose(memory["ml2o_states"][0].shared_h, init_state(2, 4, 3).shared_h)
     params0 = init_params(2, 4, seed=6, scale=0.0)
-    x2, _, _ = ml2o_step(prob, x0, init_state(2, 4, 3), params0, alpha=0.5)
-    assert np.array_equal(x0, x2)  # zero head leaves x unchanged
+    xs2, *_ = learned_step(prob, x0[None], 1, 0.5, None, {}, params0, exact=True)
+    assert np.array_equal(x0, xs2[0])  # zero head leaves x unchanged
 
 
 def test_meta_loss_values():
@@ -263,6 +263,10 @@ def test_checkpoint_corrupt_and_version(tmp_path):
     doc["version"] = 99
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+    params.arrays["head.b"] = np.array([[np.nan]])
+    save_checkpoint(params, path)
+    with pytest.raises(CheckpointError, match="'head.b'.*non-finite"):
         load_checkpoint(path)
 
 

@@ -1,23 +1,39 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from moograd.harness import validate_run_config
+from moograd.minnorm import solve_min_norm
 from moograd.optimizers import (
-    OptimizerState,
     SampleSchedule,
     StepSchedule,
+    adam_step,
     composite_weight_step,
     dssmg_step,
     mgda_step,
     moco_like_step,
-    min_norm_step_many,
+    momentum_step,
     project_simplex,
     run_population,
     run_steps,
     sample_size,
-    scalarized_step,
+    sgd_step,
     smg_step,
 )
 from moograd.problems import QuadraticPair, make_quadratic_pair, make_toy_mtl
+
+
+def one_step(step, prob, x, alpha, rng=None, memory=None, k=1):
+    """One step of a population step function from the single point ``x``."""
+    xs, *_ = step(prob, np.asarray(x, dtype=np.float64)[None], k, alpha, [rng],
+                  {} if memory is None else memory)
+    return xs[0]
+
+
+def iterate(step, prob, x0, steps, sched, rng=None):
+    """Final iterate of ``steps`` steps from ``x0``."""
+    return run_steps(prob, step, x0, steps, sched, rng, keep_iterates=False).meta["final_x"]
 
 
 @pytest.fixture
@@ -46,38 +62,30 @@ def test_step_schedules():
 
 def test_mgda_fixed_point_at_pareto_critical():
     prob = QuadraticPair([0.0, 0.0], [1.0, 0.0])
-    state = OptimizerState(x=np.array([0.5, 0.0]))
-    new, info = mgda_step(prob, state, StepSchedule("constant", 0.1))
-    assert np.allclose(new.x, state.x, atol=1e-9)
-    assert new.k == 2
+    x = np.array([0.5, 0.0])
+    assert np.allclose(one_step(mgda_step, prob, x, 0.1), x, atol=1e-9)
 
 
 def test_mgda_moves_toward_segment():
     prob = QuadraticPair([0.0], [1.0])
-    state = OptimizerState(x=np.array([2.0]))
-    new, _ = mgda_step(prob, state, StepSchedule("constant", 0.1))
-    assert new.x[0] < 2.0
+    assert one_step(mgda_step, prob, np.array([2.0]), 0.1)[0] < 2.0
 
 
 def test_mgda_identical_objectives_is_gradient_descent():
     c = np.array([0.3, -0.2])
     prob = QuadraticPair(c, c)
     x0 = np.array([1.0, 1.0])
-    state, _ = mgda_step(prob, OptimizerState(x=x0.copy()), StepSchedule("constant", 0.1))
-    assert np.allclose(state.x, x0 - 0.1 * (x0 - c), atol=1e-12)
+    assert np.allclose(one_step(mgda_step, prob, x0, 0.1), x0 - 0.1 * (x0 - c), atol=1e-12)
 
 
 def test_smg_equals_mgda_without_noise():
     prob = make_quadratic_pair(3, seed=2, noise_sigma=0.0)
     rng = np.random.default_rng(0)
     x0 = prob.initial_point(rng)
-    s1 = OptimizerState(x=x0.copy())
-    s2 = OptimizerState(x=x0.copy())
     sched = StepSchedule("constant", 0.05)
-    for _ in range(10):
-        s1, _ = mgda_step(prob, s1, sched)
-        s2, _ = smg_step(prob, s2, sched, rng)
-    assert np.array_equal(s1.x, s2.x)
+    assert np.array_equal(
+        iterate(mgda_step, prob, x0, 10, sched), iterate(smg_step, prob, x0, 10, sched, rng)
+    )
 
 
 def test_smg_direction_bias_monte_carlo(noisy_pair):
@@ -85,8 +93,6 @@ def test_smg_direction_bias_monte_carlo(noisy_pair):
     prob = make_quadratic_pair(2, seed=4, noise_sigma=0.5)
     c1, c2 = prob.centers
     x = c1 + 0.3 * (c2 - c1) + 0.05 * np.array([1.0, -1.0])
-    from moograd.minnorm import solve_min_norm
-
     exact = solve_min_norm(prob.full_jacobian(x)).combined
     rng = np.random.default_rng(11)
     mean_dir = np.zeros_like(x)
@@ -100,8 +106,6 @@ def test_smg_nonzero_expected_step_at_critical_point():
     prob = make_quadratic_pair(2, seed=4, noise_sigma=0.5)
     c1, c2 = prob.centers
     x = 0.5 * (c1 + c2)
-    from moograd.minnorm import solve_min_norm
-
     rng = np.random.default_rng(3)
     mags = [
         np.linalg.norm(solve_min_norm(prob.sample_gradient(x, rng)).combined)
@@ -116,12 +120,10 @@ def test_dssmg_zero_noise_equals_mgda():
     x0 = prob.initial_point(rng)
     sched = StepSchedule("harmonic")
     samp = SampleSchedule(4, 0.2)
-    s1 = OptimizerState(x=x0.copy())
-    s2 = OptimizerState(x=x0.copy())
-    for _ in range(20):
-        s1, _ = mgda_step(prob, s1, sched)
-        s2, _ = dssmg_step(prob, s2, sched, samp, rng)
-    assert np.array_equal(s1.x, s2.x)
+    dssmg = partial(dssmg_step, samples=samp)
+    assert np.array_equal(
+        iterate(mgda_step, prob, x0, 20, sched), iterate(dssmg, prob, x0, 20, sched, rng)
+    )
 
 
 def test_dssmg_variance_scales_inversely_with_samples():
@@ -160,61 +162,51 @@ def test_project_simplex():
 def test_moco_step_behaviour(noisy_pair):
     rng = np.random.default_rng(2)
     x0 = noisy_pair.initial_point(rng)
-    state = OptimizerState(x=x0.copy())
-    sched = StepSchedule("constant", 0.05)
     # beta = 1: tracking variable equals the fresh draw
-    rng_probe = np.random.default_rng(5)
-    new, _ = moco_like_step(noisy_pair, OptimizerState(x=x0.copy()), sched, rng_probe, beta=1.0)
+    memory = {}
+    one_step(partial(moco_like_step, beta=1.0), noisy_pair, x0, 0.05, np.random.default_rng(5), memory)
     expected = noisy_pair.sample_gradient(x0, np.random.default_rng(5))
-    assert np.allclose(new.memory["moco_y"], expected)
+    assert np.allclose(memory["y"][0], expected)
     # gamma = 0: weights never change
-    state = OptimizerState(x=x0.copy())
-    for _ in range(5):
-        state, _ = moco_like_step(noisy_pair, state, sched, rng, beta=0.5, gamma=0.0)
-    assert np.allclose(state.memory["moco_lam"], [0.5, 0.5])
+    memory, x = {}, x0.copy()
+    for k in range(1, 6):
+        x = one_step(partial(moco_like_step, beta=0.5, gamma=0.0), noisy_pair, x, 0.05, rng, memory, k)
+    assert np.allclose(memory["lam"][0], [0.5, 0.5])
 
 
 def test_composite_weight_step(noisy_pair):
     rng = np.random.default_rng(3)
     x0 = noisy_pair.initial_point(rng)
-    sched = StepSchedule("constant", 0.05)
     # beta = 1 freezes the uniform initial weights
-    state = OptimizerState(x=x0.copy())
-    for _ in range(4):
-        state, _ = composite_weight_step(noisy_pair, state, sched, rng, beta=1.0)
-        assert np.allclose(state.memory["cw_lam"], [0.5, 0.5])
+    memory, x = {}, x0.copy()
+    for k in range(1, 5):
+        x = one_step(partial(composite_weight_step, beta=1.0), noisy_pair, x, 0.05, rng, memory, k)
+        assert np.allclose(memory["lam"][0], [0.5, 0.5])
     # beta = 0 equals smg with the same stream
     r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
-    s1, _ = composite_weight_step(noisy_pair, OptimizerState(x=x0.copy()), sched, r1, beta=0.0)
-    s2, _ = smg_step(noisy_pair, OptimizerState(x=x0.copy()), sched, r2)
-    assert np.array_equal(s1.x, s2.x)
+    s1 = one_step(partial(composite_weight_step, beta=0.0), noisy_pair, x0, 0.05, r1)
+    s2 = one_step(smg_step, noisy_pair, x0, 0.05, r2)
+    assert np.array_equal(s1, s2)
     # blended weights stay on the simplex
     rng = np.random.default_rng(10)
-    state = OptimizerState(x=x0.copy())
-    for _ in range(10):
-        state, _ = composite_weight_step(noisy_pair, state, sched, rng, beta=0.3)
-        lam = state.memory["cw_lam"]
+    memory, x = {}, x0.copy()
+    for k in range(1, 11):
+        x = one_step(partial(composite_weight_step, beta=0.3), noisy_pair, x, 0.05, rng, memory, k)
+        lam = memory["lam"][0]
         assert lam.sum() == pytest.approx(1.0, abs=1e-12) and np.all(lam >= 0)
 
 
 def test_scalarized_sgd_converges_on_shared_minimum():
     c = np.array([0.4, -0.7])
     prob = QuadraticPair(c, c)
-    state = OptimizerState(x=np.zeros(2))
-    rng = np.random.default_rng(0)
-    sched = StepSchedule("constant", 0.2)
-    for _ in range(200):
-        state, _ = scalarized_step(prob, state, sched, rng, rule="sgd")
-    assert np.allclose(state.x, c, atol=1e-6)
+    x = iterate(sgd_step, prob, np.zeros(2), 200, StepSchedule("constant", 0.2), np.random.default_rng(0))
+    assert np.allclose(x, c, atol=1e-6)
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
     prob = QuadraticPair([5.0, -3.0], [5.0, -3.0])
     lr = 0.001
-    state = OptimizerState(x=np.zeros(2))
-    rng = np.random.default_rng(0)
-    new, _ = scalarized_step(prob, state, StepSchedule("constant", lr), rng, rule="adam")
-    steps = np.abs(new.x - state.x)
+    steps = np.abs(one_step(adam_step, prob, np.zeros(2), lr, np.random.default_rng(0)))
     assert np.all(np.abs(steps - lr) < lr * 1e-3)
 
 
@@ -223,33 +215,25 @@ def test_momentum_zero_equals_sgd():
     x0 = prob.initial_point(np.random.default_rng(0))
     sched = StepSchedule("constant", 0.05)
     r1, r2 = np.random.default_rng(4), np.random.default_rng(4)
-    s1 = OptimizerState(x=x0.copy())
-    s2 = OptimizerState(x=x0.copy())
-    for _ in range(5):
-        s1, _ = scalarized_step(prob, s1, sched, r1, rule="momentum", momentum=0.0)
-        s2, _ = scalarized_step(prob, s2, sched, r2, rule="sgd")
-    assert np.array_equal(s1.x, s2.x)
+    heavy_ball = partial(momentum_step, momentum=0.0)
+    assert np.array_equal(
+        iterate(heavy_ball, prob, x0, 5, sched, r1), iterate(sgd_step, prob, x0, 5, sched, r2)
+    )
 
 
-def test_unknown_rule_rejected(noisy_pair):
-    with pytest.raises(ValueError, match="unknown scalarized rule"):
-        scalarized_step(
-            noisy_pair,
-            OptimizerState(x=np.zeros(4)),
-            StepSchedule("constant", 0.1),
-            np.random.default_rng(0),
-            rule="nadam",
-        )
+def test_unknown_rule_rejected():
+    # the scalarized rules are registry entries: an unknown rule is an unknown optimizer
+    errors = validate_run_config({"optimizer": {"name": "nadam", "params": {}}})
+    assert any("unknown optimizer 'nadam'" in e for e in errors)
 
 
 def test_monotone_max_descent_small_step():
     prob = make_quadratic_pair(5, seed=12)  # identity curvature => L = 1
-    state = OptimizerState(x=prob.initial_point(np.random.default_rng(2)))
-    sched = StepSchedule("constant", 1.0)  # alpha = 1/L
-    prev = prob.eval(state.x)
+    x = prob.initial_point(np.random.default_rng(2))
+    prev = prob.eval(x)
     for _ in range(50):
-        state, _ = mgda_step(prob, state, sched)
-        cur = prob.eval(state.x)
+        x = one_step(mgda_step, prob, x, 1.0)  # alpha = 1/L
+        cur = prob.eval(x)
         assert np.max(cur - prev) <= 1e-12
         prev = cur
 
@@ -262,8 +246,7 @@ def test_run_steps_trace_and_determinism():
     def once():
         rng = np.random.default_rng(42)
         x0 = prob.initial_point(np.random.default_rng(1))
-        step = lambda st, r: dssmg_step(prob, st, sched, samp, r)
-        return run_steps(prob, step, x0, 30, rng)
+        return run_steps(prob, partial(dssmg_step, samples=samp), x0, 30, sched, rng)
 
     a, b = once(), once()
     assert [r.k for r in a.rows] == list(range(1, 31))
@@ -276,10 +259,26 @@ def test_run_steps_trace_and_determinism():
 
 
 POINT_STEPS = {
-    "mgda": lambda prob, sched, samp: lambda st, r: mgda_step(prob, st, sched),
-    "smg": lambda prob, sched, samp: lambda st, r: smg_step(prob, st, sched, r),
-    "dssmg": lambda prob, sched, samp: lambda st, r: dssmg_step(prob, st, sched, samp, r),
+    "mgda": mgda_step,
+    "smg": smg_step,
+    "dssmg": dssmg_step,
 }
+
+
+def point_reference(prob, method, x0, steps, sched, samp, rng):
+    """The per-point min-norm loop: one oracle call, one ``solve_min_norm``
+    and one ``eval`` per step; returns the rows and the final iterate."""
+    x, rows = np.array(x0, dtype=np.float64), []
+    for k in range(1, steps + 1):
+        if method == "mgda":
+            n, w = None, prob.full_jacobian(x)
+        else:
+            n = 1 if method == "smg" else sample_size(k, samp)
+            w = prob.averaged_gradient(x, n, rng)
+        sol = solve_min_norm(w)
+        x = x + sched.at(k) * sol.descent_direction
+        rows.append((k, prob.eval(x), float(np.linalg.norm(sol.combined)), sched.at(k), n))
+    return rows, x
 
 
 @pytest.mark.parametrize("method", sorted(POINT_STEPS))
@@ -300,28 +299,23 @@ POINT_STEPS = {
 )
 def test_run_population_matches_run_steps_per_member(method, factory):
     # the per-point loop is the reference: every row of the population run
-    # must equal the member run alone, bit for bit
+    # and every one-member run must equal it, bit for bit
     prob = factory()
     sched, samp = StepSchedule("harmonic", 0.5), SampleSchedule(3, 0.3)
+    step = POINT_STEPS[method]
+    if method == "dssmg":
+        step = partial(step, samples=samp)
     x0s = np.random.default_rng(100).normal(scale=0.5, size=(5, prob.dim))
-    records = run_population(
-        prob, method, x0s, 7, sched, [np.random.default_rng(p) for p in range(5)], samp
-    )
-    step = POINT_STEPS[method](prob, sched, samp)
+    records = run_population(prob, step, x0s, 7, sched, [np.random.default_rng(p) for p in range(5)])
     for p, rec in enumerate(records):
-        alone = run_steps(prob, step, x0s[p], 7, np.random.default_rng(p), keep_iterates=False)
-        assert [(r.k, r.alpha, r.n_samples) for r in rec.rows] == [
-            (r.k, r.alpha, r.n_samples) for r in alone.rows
-        ]
-        for got, want in zip(rec.rows, alone.rows):
-            assert np.array_equal(got.losses, want.losses)
-            assert got.direction_norm == want.direction_norm
-        assert np.array_equal(rec.meta["final_x"], alone.meta["final_x"])
-        assert rec.meta["eval_count"] == alone.meta["eval_count"] == 7
-        assert rec.meta["nonconverged_solves"] == alone.meta["nonconverged_solves"] == 0
-
-
-def test_min_norm_step_many_rejects_unknown_method():
-    prob = make_quadratic_pair(2, seed=1)
-    with pytest.raises(ValueError, match="unknown min-norm method"):
-        min_norm_step_many(prob, "moco", np.zeros((1, 2)), 1, StepSchedule())
+        alone = run_steps(prob, step, x0s[p], 7, sched, np.random.default_rng(p), keep_iterates=False)
+        ref_rows, ref_x = point_reference(prob, method, x0s[p], 7, sched, samp, np.random.default_rng(p))
+        for got in (rec, alone):
+            assert len(got.rows) == len(ref_rows)
+            for row, (k, losses, norm, alpha, n) in zip(got.rows, ref_rows):
+                assert (row.k, row.alpha, row.n_samples) == (k, alpha, n)
+                assert np.array_equal(row.losses, losses)
+                assert row.direction_norm == norm
+            assert np.array_equal(got.meta["final_x"], ref_x)
+            assert got.meta["eval_count"] == 7
+            assert got.meta["nonconverged_solves"] == 0
