@@ -1,17 +1,30 @@
-"""Pinned CSV content hashes for every optimizer on tiny population configs.
+"""Pinned CSV content hashes for every optimizer on tiny population configs,
+and pinned bits of meta-training.
 
-The hashes are literal: a change to a run driver, an oracle or the solver
-that moves a single CSV byte (the wall-time column excluded) fails here.
-When a change moves them on purpose, it re-pins them and says why.
+The hashes are literal: a change to a run driver, an oracle, the solver or
+the tape that moves a single CSV byte (the wall-time column excluded) or a
+single trained-parameter bit fails here. When a change moves them on
+purpose, it re-pins them and says why.
 """
 
+import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
+from moograd import autodiff as ad
 from moograd.harness import run_experiment
-from moograd.ml2o import init_params, save_checkpoint
+from moograd.ml2o import (
+    init_params,
+    init_state,
+    meta_train,
+    save_checkpoint,
+    store_from_params,
+    unroll_window,
+)
+from moograd.problems import make_quadratic_pair
 
 QUADRATIC = {"name": "quadratic_pair", "params": {"dim": 3, "seed": 5, "noise_sigma": 0.2}}
 TOY_MTL = {
@@ -193,3 +206,33 @@ def test_csv_hashes_match_golden(case, checkpoint, tmp_path):
     problem, name, params = CASES[case]
     params = {k: checkpoint if v is CHECKPOINT else v for k, v in params.items()}
     assert population_hashes(problem, name, params, str(tmp_path / "run")) == GOLDEN[case]
+
+
+def array_digest(arrays):
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arrays[name], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_meta_train_bits_match_golden():
+    sampler = lambda rng: make_quadratic_pair(3, seed=int(rng.integers(2**31 - 1)))
+    trained, _ = meta_train(sampler, init_params(2, 4, 0), steps=20, window=10,
+                            meta_lr=0.05, epochs=3, seed=1)
+    assert array_digest(trained.arrays) == (
+        "cc1a0a4553a27b0eda39f60bf66485a2ea753527ccd6561ae528b2e1c63007bd"
+    )
+    # the gradients of one taped window
+    problem = make_quadratic_pair(3, seed=7, noise_sigma=0.1)
+    rng = np.random.default_rng(3)
+    store = store_from_params(init_params(2, 4, 0))
+    tape = ad.Tape()
+    leafs = {name: tape.param(store, name) for name in store.names()}
+    x = problem.initial_point(rng).reshape(-1, 1)
+    mean, _, _ = unroll_window(problem, x, init_state(2, 4, 3), leafs, 10, 0.1,
+                               lambda j, xv: problem.sample_gradient(xv, rng))
+    ad.backward(tape, mean)
+    assert array_digest(store.grads) == (
+        "cb253e8e301693d17673e5f3990c12de1f4c71d005852b185e695ff8de9aefc9"
+    )
