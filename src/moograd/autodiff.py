@@ -7,6 +7,11 @@ fused LSTM cell. Every primitive accepts either plain arrays (untaped, fast
 path) or :class:`Var` handles bound to a :class:`Tape`; mixing the two lifts
 arrays to constants on the operand's tape.
 
+Each primitive is one function: it computes its value and, on a tape,
+records a node holding its input ids and a closure that maps the output
+adjoint to one adjoint per input. :func:`backward` sweeps the tape in
+reverse and knows no primitive.
+
 Elementwise ops require equal shapes, with one deliberate exception: a
 ``(1, H)`` row may be added to / multiplied with an ``(N, H)`` matrix (bias
 rows). Anything broader is rejected.
@@ -14,27 +19,9 @@ rows). Anything broader is rejected.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-
-OP_KINDS = frozenset(
-    {
-        "add",
-        "sub",
-        "mul",
-        "matmul",
-        "concat",
-        "slice",
-        "lstm",
-        "scale",
-        "sum",
-        "maxlist",
-        "const",
-        "param",
-    }
-)
-
 
 # Column blocks of the fused (in, 4H) gate matrices of the ``lstm`` primitive:
 # the three sigmoid gates first, then the tanh candidate.
@@ -58,13 +45,14 @@ def all_finite(x) -> bool:
 
 
 class TapeNode:
-    __slots__ = ("kind", "inputs", "value", "aux")
+    """A value; ``backward(g)`` gives one adjoint (or None) per input, and is None on constants."""
 
-    def __init__(self, kind: str, inputs: tuple[int, ...], value: np.ndarray, aux=None):
-        self.kind = kind
+    __slots__ = ("inputs", "value", "backward")
+
+    def __init__(self, inputs: tuple[int, ...], value: np.ndarray, backward):
         self.inputs = inputs
         self.value = value
-        self.aux = aux
+        self.backward = backward
 
 
 class Var:
@@ -81,6 +69,11 @@ class Var:
         return self.tape.nodes[self.nid].value
 
 
+def value(x) -> np.ndarray:
+    """The forward array of a :class:`Var`, or ``x`` as a float64 array."""
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
 class ParamStore:
     """Named float64 parameters with a matching gradient accumulator."""
 
@@ -94,12 +87,6 @@ class ParamStore:
         arr = as_tensor(value, name)
         self.params[name] = arr
         self.grads[name] = np.zeros_like(arr)
-
-    def set_(self, name: str, value) -> None:
-        arr = as_tensor(value, name)
-        if arr.shape != self.params[name].shape:
-            raise ShapeError(f"parameter {name!r}: shape {arr.shape} != {self.params[name].shape}")
-        self.params[name] = arr
 
     def zero_grad(self) -> None:
         for name in self.grads:
@@ -118,15 +105,19 @@ class Tape:
     def __init__(self):
         self.nodes: list[TapeNode] = []
 
-    def _append(self, kind, inputs, value, aux=None) -> Var:
-        self.nodes.append(TapeNode(kind, inputs, value, aux))
+    def _append(self, inputs, value, backward) -> Var:
+        self.nodes.append(TapeNode(inputs, value, backward))
         return Var(self, len(self.nodes) - 1)
 
     def constant(self, value) -> Var:
-        return self._append("const", (), np.asarray(value, dtype=np.float64))
+        return self._append((), np.asarray(value, dtype=np.float64), None)
 
     def param(self, store: ParamStore, name: str) -> Var:
-        return self._append("param", (), store.params[name], aux=(store, name))
+        def accumulate(g):
+            store.grads[name] += g
+            return ()
+
+        return self._append((), store.params[name], accumulate)
 
 
 def _lift(tape: Tape, x) -> Var:
@@ -144,8 +135,19 @@ def _find_tape(args: Iterable) -> Tape | None:
     return None
 
 
-def _val(x) -> np.ndarray:
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+def _record(inputs, out: np.ndarray, backward):
+    """``out`` itself when no input is taped, else a Var of a new node on their tape."""
+    tape = _find_tape(inputs)
+    if tape is None:
+        return out
+    return tape._append(tuple(_lift(tape, x).nid for x in inputs), out, backward)
+
+
+class _Indexed(NamedTuple):
+    """An adjoint ``g`` of the entries ``key`` of an input, zero elsewhere."""
+
+    key: object
+    g: np.ndarray
 
 
 def _check_elementwise(a: np.ndarray, b: np.ndarray, kind: str) -> None:
@@ -163,93 +165,79 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.sum(axis=0, keepdims=True)
 
 
-def primitive_forward(kind: str, inputs: Sequence, **attrs):
-    """Apply one primitive. Taped when any input is a :class:`Var`.
-
-    ``scale`` takes ``factor``, ``concat`` takes ``axis``, ``slice`` takes
-    ``key`` (any basic-indexing key). ``lstm`` returns ``h'`` and ``c'``
-    stacked into one (2, N, H) array; see :func:`lstm`.
-    """
-    if kind not in OP_KINDS or kind in ("const", "param"):
-        raise ValueError(f"unknown primitive kind {kind!r}")
-    tape = _find_tape(inputs)
-    vals = [_val(x) for x in inputs]
-
-    if kind == "add" or kind == "sub" or kind == "mul":
-        a, b = vals
-        _check_elementwise(a, b, kind)
-        if kind == "add":
-            out = a + b
-        elif kind == "sub":
-            out = a - b
-        else:
-            out = a * b
-        aux = None
-    elif kind == "matmul":
-        a, b = vals
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-        out = a @ b
-        aux = None
-    elif kind == "concat":
-        axis = attrs.get("axis", 0)
-        out = np.concatenate(vals, axis=axis)
-        aux = (axis, [v.shape[axis] for v in vals])
-    elif kind == "slice":
-        (a,) = vals
-        key = attrs["key"]
-        out = np.asarray(a[key], dtype=np.float64)
-        aux = (key, a.shape)
-    elif kind == "lstm":
-        out, aux = _lstm_forward(*vals)
-    elif kind == "scale":
-        (a,) = vals
-        factor = float(attrs["factor"])
-        out = a * factor
-        aux = factor
-    elif kind == "sum":
-        (a,) = vals
-        out = np.asarray(a.sum())
-        aux = a.shape
-    elif kind == "maxlist":
-        for v in vals:
-            if v.size != 1:
-                raise ShapeError("maxlist expects scalar inputs")
-        flat = np.array([float(v) for v in vals])
-        arg = int(np.argmax(flat))  # lowest index on ties
-        out = np.asarray(flat[arg])
-        aux = arg
-    else:  # pragma: no cover
-        raise ValueError(kind)
-
-    if tape is None:
-        return out
-    ids = tuple(_lift(tape, x).nid for x in inputs)
-    return tape._append(kind, ids, out, aux)
-
-
 def add(a, b):
-    return primitive_forward("add", (a, b))
+    x, y = value(a), value(b)
+    _check_elementwise(x, y, "add")
+    return _record((a, b), x + y,
+                   lambda g: (_unbroadcast(g, x.shape), _unbroadcast(g, y.shape)))
 
 
 def sub(a, b):
-    return primitive_forward("sub", (a, b))
+    x, y = value(a), value(b)
+    _check_elementwise(x, y, "sub")
+    return _record((a, b), x - y,
+                   lambda g: (_unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)))
 
 
 def mul(a, b):
-    return primitive_forward("mul", (a, b))
+    x, y = value(a), value(b)
+    _check_elementwise(x, y, "mul")
+    return _record((a, b), x * y,
+                   lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
 def matmul(a, b):
-    return primitive_forward("matmul", (a, b))
+    x, y = value(a), value(b)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}")
+    return _record((a, b), x @ y, lambda g: (g @ y.T, x.T @ g))
 
 
 def concat(parts, axis=0):
-    return primitive_forward("concat", tuple(parts), axis=axis)
+    parts = tuple(parts)
+    vals = [value(p) for p in parts]
+
+    def backward(g):
+        idx = [slice(None)] * g.ndim
+        pieces, lo = [], 0
+        for v in vals:
+            idx[axis] = slice(lo, lo + v.shape[axis])
+            pieces.append(g[tuple(idx)])
+            lo += v.shape[axis]
+        return pieces
+
+    return _record(parts, np.concatenate(vals, axis=axis), backward)
 
 
 def slice_(a, key):
-    return primitive_forward("slice", (a,), key=key)
+    """``a[key]`` for any basic-indexing key."""
+    return _record((a,), np.asarray(value(a)[key], dtype=np.float64),
+                   lambda g: (_Indexed(key, g),))
+
+
+def scale(a, factor):
+    factor = float(factor)
+    return _record((a,), value(a) * factor, lambda g: (g * factor,))
+
+
+def sum_(a):
+    x = value(a)
+    return _record((a,), np.asarray(x.sum()),
+                   lambda g: (np.broadcast_to(g, x.shape).astype(np.float64),))
+
+
+def maxlist(parts):
+    """The largest of scalar ``parts``; its adjoint goes to the first maximum only."""
+    parts = tuple(parts)
+    vals = [value(p) for p in parts]
+    for v in vals:
+        if v.size != 1:
+            raise ShapeError("maxlist expects scalar inputs")
+    flat = np.array([float(v) for v in vals])
+    arg = int(np.argmax(flat))  # lowest index on ties
+    shape, n = vals[arg].shape, len(vals)
+    return _record(parts, np.asarray(flat[arg]),
+                   lambda g: [g.reshape(shape) if i == arg else None for i in range(n)])
 
 
 def lstm(s, h, c, wx, wh, b):
@@ -259,9 +247,14 @@ def lstm(s, h, c, wx, wh, b):
     (H, 4H) and ``b`` (1, 4H) hold the gates in :data:`LSTM_GATES` column
     order. With ``pre = s wx + h wh + b`` split into gates i, f, o, g:
     ``c' = sigmoid(f) c + sigmoid(i) tanh(g)`` and
-    ``h' = sigmoid(o) tanh(c')``. Taped and untaped calls run the same code.
+    ``h' = sigmoid(o) tanh(c')``. The node's value stacks ``h'`` and ``c'``
+    into one (2, N, H) array, read back by two slices. Taped and untaped
+    calls run the same code.
     """
-    hc = primitive_forward("lstm", (s, h, c, wx, wh, b))
+    args = (s, h, c, wx, wh, b)
+    vals = [value(x) for x in args]
+    out, (gates, tc) = _lstm_forward(*vals)
+    hc = _record(args, out, lambda g: _lstm_backward(g, gates, tc, *vals[:5]))
     return slice_(hc, 0), slice_(hc, 1)
 
 
@@ -320,95 +313,50 @@ def _lstm_backward(g, gates, tc, s, h, c, wx, wh):
             dpre.sum(axis=0, keepdims=True))
 
 
-def scale(a, factor):
-    return primitive_forward("scale", (a,), factor=factor)
-
-
-def sum_(a):
-    return primitive_forward("sum", (a,))
-
-
-def maxlist(parts):
-    return primitive_forward("maxlist", tuple(parts))
-
-
 def backward(tape: Tape, output: Var) -> None:
     """Accumulate d(output)/d(param) into each leaf's ParamStore gradients.
 
     The output must be scalar. Repeated calls keep accumulating until the
     stores' ``zero_grad`` is called.
+
+    Adjoints are not copied, so one array may be the adjoint of several
+    nodes (``add`` hands its ``g`` to both inputs). The only in-place update
+    adds an :class:`_Indexed` adjoint (from ``slice_``) into a buffer this
+    sweep allocated, which the lstm node's two slices share.
     """
     if output.tape is not tape:
         raise ValueError("output does not belong to this tape")
-    out_node = tape.nodes[output.nid]
+    nodes = tape.nodes
+    out_node = nodes[output.nid]
     if out_node.value.size != 1:
         raise ShapeError(f"backward requires a scalar output, got shape {out_node.value.shape}")
 
-    adj: list[np.ndarray | None] = [None] * len(tape.nodes)
+    adj: list[np.ndarray | None] = [None] * len(nodes)
     adj[output.nid] = np.ones_like(out_node.value)
+    owned: set[int] = set()  # ids whose adjoint buffer this sweep allocated
 
     for nid in range(output.nid, -1, -1):
         g = adj[nid]
-        if g is None:
+        node = nodes[nid]
+        if g is None or node.backward is None:
             continue
-        node = tape.nodes[nid]
-        kind = node.kind
-
-        def send(iid: int, contrib: np.ndarray) -> None:
-            if adj[iid] is None:
-                adj[iid] = contrib.copy()
+        for iid, contrib in zip(node.inputs, node.backward(g)):
+            if contrib is None:
+                continue
+            prev = adj[iid]
+            if type(contrib) is _Indexed:
+                if prev is None:
+                    prev = np.zeros(nodes[iid].value.shape)
+                elif iid not in owned:
+                    prev = prev.copy()
+                prev[contrib.key] += contrib.g
+                adj[iid] = prev
+                owned.add(iid)
+            elif prev is None:
+                adj[iid] = contrib
             else:
-                adj[iid] = adj[iid] + contrib
-
-        if kind == "const":
-            continue
-        if kind == "param":
-            store, name = node.aux
-            store.grads[name] += g
-            continue
-        ins = node.inputs
-        if kind == "add":
-            a, b = (tape.nodes[i].value for i in ins)
-            send(ins[0], _unbroadcast(g, a.shape))
-            send(ins[1], _unbroadcast(g, b.shape))
-        elif kind == "sub":
-            a, b = (tape.nodes[i].value for i in ins)
-            send(ins[0], _unbroadcast(g, a.shape))
-            send(ins[1], _unbroadcast(-g, b.shape))
-        elif kind == "mul":
-            a, b = (tape.nodes[i].value for i in ins)
-            send(ins[0], _unbroadcast(g * b, a.shape))
-            send(ins[1], _unbroadcast(g * a, b.shape))
-        elif kind == "matmul":
-            a, b = (tape.nodes[i].value for i in ins)
-            send(ins[0], g @ b.T)
-            send(ins[1], a.T @ g)
-        elif kind == "concat":
-            axis, sizes = node.aux
-            offset = 0
-            for iid, size in zip(ins, sizes):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(offset, offset + size)
-                send(iid, g[tuple(idx)])
-                offset += size
-        elif kind == "slice":
-            key, in_shape = node.aux
-            if adj[ins[0]] is None:
-                adj[ins[0]] = np.zeros(in_shape)
-            adj[ins[0]][key] += g  # adjoint buffers are owned, never shared
-        elif kind == "lstm":
-            s, h, c, wx, wh, _ = (tape.nodes[i].value for i in ins)
-            for iid, contrib in zip(ins, _lstm_backward(g, *node.aux, s, h, c, wx, wh)):
-                send(iid, contrib)
-        elif kind == "scale":
-            send(ins[0], g * node.aux)
-        elif kind == "sum":
-            send(ins[0], np.broadcast_to(g, node.aux).astype(np.float64))
-        elif kind == "maxlist":
-            arg = node.aux
-            send(ins[arg], g.reshape(tape.nodes[ins[arg]].value.shape))
-        else:  # pragma: no cover
-            raise ValueError(kind)
+                adj[iid] = prev + contrib
+                owned.add(iid)
 
 
 def finite_diff_gradient(

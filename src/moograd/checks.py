@@ -90,7 +90,7 @@ class CheckContext:
             heldout = [make_quadratic_pair(8, seed=VALIDATION_PROBLEM_SEED + i) for i in range(20)]
             rows = []
             for seed in range(N_TRAIN_SEEDS):
-                p0 = init_params(2, 8, seed, 1, 0.1)
+                p0 = init_params(2, 8, seed)
                 trained = self._train_one(8, seed)
                 base = evaluate_meta_loss(heldout, p0, 100, ML2O_RUN_ALPHA, seed=7)
                 after = evaluate_meta_loss(heldout, trained, 100, ML2O_RUN_ALPHA, seed=7)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minnorm import solve_min_norm
+from .minnorm import solve_min_norm_many
 from .ml2o import Ml2oParams, check_compatible, learned_directions
 from .optimizers import SampleSchedule, StepSchedule, row_norms, run_steps, sample_size
 from .trace import RunRecord
@@ -81,17 +81,15 @@ def _guarded_loop(problem, xs, k, alpha, rngs, memory, model: Ml2oParams,
     else:
         evaluators = [problem.eval] * len(xs)
         base = memory.get("guard_losses")
-    chosen, losses, decisions, combined, converged = [], [], [], [], []
+    sol = solve_min_norm_many(grads)
+    chosen, losses, decisions = [], [], []
     for p, evaluator in enumerate(evaluators):
-        # one scalar solve per row: the batched solver's fixed cost exceeds
-        # it on the small populations guarded runs use
-        sol = solve_min_norm(grads[p])
         if base is None:
             f_z = np.asarray(evaluator(xs[p]), dtype=np.float64)
         else:
             f_z = base[p]
         decision, z_next, f_chosen = guard_select(
-            xs[p], xs[p] + alpha * sol.descent_direction, learned[p], evaluator, f_z=f_z
+            xs[p], xs[p] + alpha * sol.descent_direction[p], learned[p], evaluator, f_z=f_z
         )
         chosen_delta = float(np.max(f_chosen - f_z))
         if not chosen_delta <= decision.fallback_delta:
@@ -102,12 +100,9 @@ def _guarded_loop(problem, xs, k, alpha, rngs, memory, model: Ml2oParams,
         chosen.append(z_next)
         losses.append(f_chosen)
         decisions.append(decision)
-        combined.append(sol.combined)
-        converged.append(sol.converged)
     memory["guard_losses"] = losses
     evals = 2 if base is not None else 3
-    norms = row_norms(np.array(combined))
-    return np.array(chosen), norms, n, np.array(converged), losses, decisions, evals
+    return np.array(chosen), row_norms(sol.combined), n, sol.converged, losses, decisions, evals
 
 
 def gml2o_det_step(problem, xs, k, alpha, rngs, memory, model: Ml2oParams):

@@ -379,7 +379,6 @@ _TRAIN_KEYS = {
     "problem_sampler",
     "m",
     "hidden",
-    "out_width",
     "steps",
     "window",
     "meta_lr",
@@ -436,11 +435,10 @@ def train_ml2o_cmd(cfg: dict, out_dir: str | None = None) -> Ml2oParams:
 
     m = int(cfg.get("m", 2))
     hidden = int(cfg.get("hidden", 8))
-    out_width = int(cfg.get("out_width", 1))
     if cfg.get("init_checkpoint"):
         params0 = load_checkpoint(cfg["init_checkpoint"])
     else:
-        params0 = init_params(m, hidden, cfg["seed"], out_width, cfg.get("init_scale", 0.1))
+        params0 = init_params(m, hidden, cfg["seed"], scale=cfg.get("init_scale", 0.1))
     trained, trace = meta_train(
         sampler,
         params0,

@@ -203,12 +203,16 @@ def solve_min_norm_many(ws, tol: float = 1e-10, max_iter: int | None = None) -> 
 
     Returns one :class:`MinNormSolution` whose fields carry a leading P
     axis, each row equal bit for bit to ``solve_min_norm(ws[p], tol,
-    max_iter)``. The Grams come from one stacked matmul and, at M = 2, the
-    first two active-set iterations run on all rows at once
+    max_iter)``. A one-row stack is that solve itself, whose fixed cost is
+    lower. Otherwise the Grams come from one stacked matmul and, at M = 2,
+    the first two active-set iterations run on all rows at once
     (:func:`_two_vertex_steps`); rows they do not certify, and every row at
     M > 2, run ``_active_set`` one at a time.
     """
     ws = validate_gradient_matrix(ws, ndim=3)
+    if len(ws) == 1:
+        one = solve_min_norm(ws[0], tol, max_iter)
+        return MinNormSolution(*(np.array([v]) for v in vars(one).values()))
     tol, max_iter = _solver_limits(tol, max_iter, ws.shape[1])
     gram = ws @ ws.transpose(0, 2, 1)
     p, m = gram.shape[:2]

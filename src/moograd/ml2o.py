@@ -49,14 +49,7 @@ def cell_array_shapes(input_width: int, hidden_width: int) -> dict[str, tuple[in
     return shapes
 
 
-@dataclass
-class LstmCellParams:
-    input_width: int
-    hidden_width: int
-    arrays: dict  # gate arrays keyed wx_i, wh_i, bx_i, bh_i, wx_f, ...
-
-
-def param_array_shapes(m: int, hidden: int, out_width: int = 1) -> dict[str, tuple[int, int]]:
+def param_array_shapes(m: int, hidden: int) -> dict[str, tuple[int, int]]:
     """Full parameter layout for an M-objective optimizer of width ``hidden``."""
     shapes: dict[str, tuple[int, int]] = {}
     for i in range(m):
@@ -64,8 +57,8 @@ def param_array_shapes(m: int, hidden: int, out_width: int = 1) -> dict[str, tup
             shapes[f"specific{i}.{name}"] = shape
     for name, shape in cell_array_shapes(m * hidden, m * hidden).items():
         shapes[f"shared.{name}"] = shape
-    shapes["head.w"] = (m * hidden, out_width)
-    shapes["head.b"] = (1, out_width)
+    shapes["head.w"] = (m * hidden, 1)
+    shapes["head.b"] = (1, 1)
     return shapes
 
 
@@ -73,11 +66,10 @@ def param_array_shapes(m: int, hidden: int, out_width: int = 1) -> dict[str, tup
 class Ml2oParams:
     m: int
     hidden: int
-    out_width: int
     arrays: dict[str, np.ndarray]
 
     def validate(self) -> None:
-        shapes = param_array_shapes(self.m, self.hidden, self.out_width)
+        shapes = param_array_shapes(self.m, self.hidden)
         if set(shapes) != set(self.arrays):
             missing = sorted(set(shapes) - set(self.arrays))
             extra = sorted(set(self.arrays) - set(shapes))
@@ -88,24 +80,18 @@ class Ml2oParams:
                     f"array {name!r}: shape {self.arrays[name].shape} != expected {shape}"
                 )
 
-    def cell(self, prefix: str) -> LstmCellParams:
-        sub = {k.split(".", 1)[1]: v for k, v in self.arrays.items() if k.startswith(prefix + ".")}
-        in_w = 2 if prefix.startswith("specific") else self.m * self.hidden
-        hid = self.hidden if prefix.startswith("specific") else self.m * self.hidden
-        return LstmCellParams(in_w, hid, sub)
-
     def copy(self) -> "Ml2oParams":
-        return Ml2oParams(self.m, self.hidden, self.out_width, {k: v.copy() for k, v in self.arrays.items()})
+        return Ml2oParams(self.m, self.hidden, {k: v.copy() for k, v in self.arrays.items()})
 
 
-def init_params(m: int, hidden: int, seed: int, out_width: int = 1, scale: float = 0.1) -> Ml2oParams:
+def init_params(m: int, hidden: int, seed: int, *, scale: float = 0.1) -> Ml2oParams:
     """Uniform U[-scale, scale] entries from a dedicated stream."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(103,)))
     arrays = {
         name: rng.uniform(-scale, scale, shape)
-        for name, shape in param_array_shapes(m, hidden, out_width).items()
+        for name, shape in param_array_shapes(m, hidden).items()
     }
-    return Ml2oParams(m, hidden, out_width, arrays)
+    return Ml2oParams(m, hidden, arrays)
 
 
 @dataclass
@@ -116,12 +102,11 @@ class Ml2oState:
     shared_c: object
 
     def detached(self) -> "Ml2oState":
-        val = lambda v: np.asarray(v.value if isinstance(v, Var) else v)
         return Ml2oState(
-            [val(h) for h in self.spec_h],
-            [val(c) for c in self.spec_c],
-            val(self.shared_h),
-            val(self.shared_c),
+            [ad.value(h) for h in self.spec_h],
+            [ad.value(c) for c in self.spec_c],
+            ad.value(self.shared_h),
+            ad.value(self.shared_c),
         )
 
 
@@ -150,12 +135,6 @@ def preprocess_gradient(g: np.ndarray, p: float = 10.0) -> np.ndarray:
         out[:, 0] = np.where(big, np.log(np.maximum(mag, 1e-300)) / p, -1.0)
     out[:, 1] = np.where(big, np.sign(g), math.exp(p) * g)
     return out
-
-
-def lstm_cell(s, state, params: LstmCellParams):
-    """One LSTM update. Inputs may be arrays or tape Vars; output matches."""
-    h, c = state
-    return ad.lstm(s, h, c, *_fused_cell(params.arrays, ""))
 
 
 def _fused_cell(arrays, prefix: str) -> tuple:
@@ -238,15 +217,9 @@ def meta_loss(f_curr, f_prev):
     Accepts arrays or sequences of scalars/Vars; returns a float for plain
     inputs or a Var when any input is taped.
     """
-    terms = [ad.sub(np.asarray(c) if not isinstance(c, Var) else c,
-                    np.asarray(p) if not isinstance(p, Var) else p)
-             for c, p in zip(list(f_curr), list(f_prev), strict=True)]
+    terms = [ad.sub(c, p) for c, p in zip(list(f_curr), list(f_prev), strict=True)]
     out = ad.maxlist(terms)
     return out if isinstance(out, Var) else float(out)
-
-
-def _value(x):
-    return np.asarray(x.value if isinstance(x, Var) else x)
 
 
 def unroll_window(problem, x_col, state: Ml2oState, arrays, window: int,
@@ -265,7 +238,7 @@ def unroll_window(problem, x_col, state: Ml2oState, arrays, window: int,
     losses = []
     x = x_col
     for j in range(window):
-        y_rows = draw_fn(j, _value(x).reshape(-1))
+        y_rows = draw_fn(j, ad.value(x).reshape(-1))
         g_col, state = _direction_core(np.asarray(y_rows, dtype=np.float64), state, fused)
         x = ad.sub(x, ad.scale(g_col, float(alpha_at(k_offset + j + 1))))
         f_curr = problem.eval_terms(x)
@@ -276,6 +249,18 @@ def unroll_window(problem, x_col, state: Ml2oState, arrays, window: int,
         total = ad.add(total, term)
     mean = ad.scale(total, 1.0 / window)
     return mean, x, state
+
+
+def _draw_fn(problem, draw_mode: str, rng: np.random.Generator):
+    """The ``draw_fn`` of :func:`unroll_window` for ``draw_mode``.
+
+    ``"exact"`` gives the exact Jacobian; ``"sample"`` one noisy draw from ``rng``.
+    """
+    if draw_mode == "exact":
+        return lambda j, xv: problem.full_jacobian(xv)
+    if draw_mode == "sample":
+        return lambda j, xv: problem.sample_gradient(xv, rng)
+    raise ValueError(f"draw_mode must be 'sample' or 'exact', got {draw_mode!r}")
 
 
 def _leaf_vars(tape: Tape, store: ParamStore) -> dict[str, Var]:
@@ -314,8 +299,6 @@ def meta_train(
         raise ValueError(f"window {window} must divide steps {steps}")
     if meta_lr < 0:
         raise ValueError("meta_lr must be >= 0")
-    if draw_mode not in ("sample", "exact"):
-        raise ValueError("draw_mode must be 'sample' or 'exact'")
     periods = steps // window
     store = store_from_params(params0)
     trace: list[tuple[int, int, float]] = []
@@ -328,32 +311,27 @@ def meta_train(
             )
         x = problem.initial_point(rng).reshape(-1, 1)
         state = init_state(params0.m, params0.hidden, problem.dim)
-
-        if draw_mode == "exact":
-            draw_fn = lambda j, xv: problem.full_jacobian(xv)
-        else:
-            draw_fn = lambda j, xv: problem.sample_gradient(xv, rng)
-
+        draw_fn = _draw_fn(problem, draw_mode, rng)
         for period in range(periods):
             tape = Tape()
             leafs = _leaf_vars(tape, store)
             mean_var, x_var, state_var = unroll_window(
                 problem, x, state, leafs, window, alpha, draw_fn, k_offset=period * window
             )
-            loss_val = float(_value(mean_var))
+            loss_val = float(ad.value(mean_var))
             if not math.isfinite(loss_val):
                 raise MetaTrainDiverged(
                     f"non-finite meta-loss at epoch {epoch} period {period}: "
-                    f"|x|={np.linalg.norm(_value(x_var)):.3e}"
+                    f"|x|={np.linalg.norm(ad.value(x_var)):.3e}"
                 )
             ad.backward(tape, mean_var)
             for name in store.names():
                 store.params[name] = store.params[name] - meta_lr * store.grads[name]
             store.zero_grad()
             trace.append((epoch, period, loss_val))
-            x = _value(x_var)
+            x = ad.value(x_var)
             state = state_var.detached()
-    trained = Ml2oParams(params0.m, params0.hidden, params0.out_width, store.copy_params())
+    trained = Ml2oParams(params0.m, params0.hidden, store.copy_params())
     return trained, trace
 
 
@@ -371,12 +349,9 @@ def evaluate_meta_loss(
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(105, idx)))
         x = problem.initial_point(rng).reshape(-1, 1)
         state = init_state(params.m, params.hidden, problem.dim)
-        if draw_mode == "exact":
-            draw_fn = lambda j, xv: problem.full_jacobian(xv)
-        else:
-            draw_fn = lambda j, xv: problem.sample_gradient(xv, rng)
+        draw_fn = _draw_fn(problem, draw_mode, rng)
         mean, _, _ = unroll_window(problem, x, state, params.arrays, steps, alpha, draw_fn)
-        totals.append(float(_value(mean)))
+        totals.append(float(ad.value(mean)))
     return float(np.mean(totals))
 
 
@@ -386,7 +361,7 @@ def save_checkpoint(params: Ml2oParams, path: str) -> None:
         "version": CHECKPOINT_VERSION,
         "m": params.m,
         "hidden": params.hidden,
-        "out_width": params.out_width,
+        "out_width": 1,
         "arrays": {name: arr.reshape(-1).tolist() for name, arr in params.arrays.items()},
     }
     tmp = path + ".tmp"
@@ -408,8 +383,10 @@ def load_checkpoint(path: str) -> Ml2oParams:
         raise CheckpointError(
             f"field 'version': expected {CHECKPOINT_VERSION}, found {doc['version']}"
         )
-    m, hidden, out_width = int(doc["m"]), int(doc["hidden"]), int(doc["out_width"])
-    shapes = param_array_shapes(m, hidden, out_width)
+    if doc["out_width"] != 1:
+        raise CheckpointError(f"field 'out_width': expected 1, found {doc['out_width']}")
+    m, hidden = int(doc["m"]), int(doc["hidden"])
+    shapes = param_array_shapes(m, hidden)
     arrays = {}
     for name, shape in shapes.items():
         if name not in doc["arrays"]:
@@ -425,7 +402,7 @@ def load_checkpoint(path: str) -> Ml2oParams:
     extra = sorted(set(doc["arrays"]) - set(shapes))
     if extra:
         raise CheckpointError(f"checkpoint has unexpected arrays: {extra}")
-    return Ml2oParams(m, hidden, out_width, arrays)
+    return Ml2oParams(m, hidden, arrays)
 
 
 def check_compatible(params: Ml2oParams, problem) -> None:

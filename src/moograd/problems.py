@@ -75,10 +75,6 @@ class MooProblem:
         """
         raise UnsupportedCapability(f"{type(self).__name__} is not tape-differentiable")
 
-    @property
-    def has_known_front(self) -> bool:
-        return False
-
     def distance_to_front(self, x) -> float:
         raise UnsupportedCapability(f"{type(self).__name__} has no known Pareto set")
 
@@ -175,10 +171,6 @@ class QuadraticPair(MooProblem):
             q = d if self._identity else ad.matmul(a, d)
             losses.append(ad.scale(ad.sum_(ad.mul(d, q)), 0.5))
         return losses
-
-    @property
-    def has_known_front(self) -> bool:
-        return self._identity
 
     def distance_to_front(self, x) -> float:
         if not self._identity:
@@ -358,8 +350,3 @@ register_named_problem("toy_mtl", make_toy_mtl)
 # Slots for the classic named suites (BK1, DOG1, Lov1, MOP5) stay open:
 # their definitions live outside this package; register via
 # register_named_problem once available.
-
-
-def distance_to_front(problem: MooProblem, x) -> float:
-    """Euclidean distance from x to the problem's known Pareto set."""
-    return problem.distance_to_front(x)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,50 @@ def test_concat_slice_roundtrip_gradient():
     ad.backward(tape, ad.sum_(piece))
     assert np.array_equal(store.grads["a"], [[0, 1], [0, 1]])
     assert np.array_equal(store.grads["b"], [[1, 1, 0], [1, 1, 0]])
+
+
+def test_shared_adjoints_and_two_slices_match_fd():
+    rng = np.random.default_rng(5)
+    store = scalar_store(v=rng.normal(size=(3, 4)), w=rng.normal(size=(3, 4)))
+
+    def build(st):
+        tape = ad.Tape()
+        v, w = tape.param(st, "v"), tape.param(st, "w")
+        u = ad.add(v, v)  # one adjoint reaches both inputs
+        left = ad.slice_(u, (slice(None), slice(0, 3)))
+        right = ad.slice_(u, (slice(None), slice(1, 4)))
+        # d's adjoint reaches u and w as one array before the slices add into u's
+        d = ad.add(u, w)
+        terms = [ad.sum_(ad.mul(left, left)), ad.sum_(ad.mul(right, right)),
+                 ad.sum_(ad.mul(d, d))]
+        return tape, ad.add(ad.add(terms[0], terms[1]), terms[2])
+
+    tape, out = build(store)
+    ad.backward(tape, out)
+    g_fd = ad.finite_diff_gradient(lambda st: float(build(st)[1].value), store, eps=1e-5)
+    for k in ("v", "w"):
+        err = np.linalg.norm(store.grads[k] - g_fd[k]) / np.linalg.norm(g_fd[k])
+        assert err < 1e-8, f"{k}: rel err {err}"
+
+
+def test_dropped_tape_is_freed_without_the_cycle_collector():
+    """No recorded backward holds a Var, so a tape and its arrays go with its last reference."""
+    store = scalar_store(a=np.ones((2, 3)), w=np.ones((3, 12)), u=np.ones((3, 12)),
+                         b=np.ones((1, 12)))
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        a, w, u, b = (tape.param(store, k) for k in ("a", "w", "u", "b"))
+        h, c = ad.lstm(a, a, a, w, u, b)
+        x = ad.concat([ad.sub(h, c), ad.scale(ad.mul(h, c), 2.0)], axis=1)
+        x = ad.slice_(ad.matmul(x, np.ones((6, 3))), (slice(None), slice(0, 2)))
+        out = ad.maxlist([ad.sum_(x), ad.sum_(ad.add(a, a))])
+        ad.backward(tape, out)
+        ref = weakref.ref(tape)
+        del tape, a, w, u, b, h, c, x, out
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_row_bias_broadcast_backward():

@@ -134,16 +134,12 @@ def test_guard_overhead_one_extra_eval_pair_per_step():
 def test_nonconverged_solves_are_tallied(monkeypatch):
     calls = []
 
-    def every_other_fails(w):
-        calls.append(None)
-        return dataclasses.replace(minnorm.solve_min_norm(w), converged=len(calls) % 2 == 0)
-
     def every_other_fails_many(ws):
         calls.append(None)
         sol = minnorm.solve_min_norm_many(ws)
         return dataclasses.replace(sol, converged=np.full(len(ws), len(calls) % 2 == 0))
 
-    monkeypatch.setattr(guard, "solve_min_norm", every_other_fails)
+    monkeypatch.setattr(guard, "solve_min_norm_many", every_other_fails_many)
     monkeypatch.setattr(optimizers, "solve_min_norm_many", every_other_fails_many)
     prob = make_quadratic_pair(3, seed=5, noise_sigma=0.1)
     params = init_params(2, 4, seed=1)

@@ -316,7 +316,7 @@ def test_train_cmd_outputs(tmp_path):
 def test_train_cmd_zero_epochs_equals_init(tmp_path):
     out = str(tmp_path / "train0")
     trained = train_ml2o_cmd(train_config(out, epochs=0))
-    p0 = init_params(2, 3, 11, 1, 0.1)
+    p0 = init_params(2, 3, 11)
     for name in p0.arrays:
         assert np.array_equal(trained.arrays[name], p0.arrays[name])
 

@@ -188,6 +188,16 @@ def test_solve_min_norm_many_matches_scalar_solve_on_hard_battery(monkeypatch, s
         stacked_handoffs(monkeypatch, np.stack(ws), tol=1e-10 * scale)
 
 
+def test_one_row_stack_is_one_scalar_solve(monkeypatch):
+    calls = []
+    real = minnorm.solve_min_norm
+    monkeypatch.setattr(minnorm, "solve_min_norm", lambda *a: calls.append(None) or real(*a))
+    sol = solve_min_norm_many(np.random.default_rng(2).normal(size=(1, 3, 4)))
+    assert len(calls) == 1
+    assert sol.weights.shape == (1, 3) and sol.combined.shape == (1, 4)
+    assert sol.gap.shape == sol.iterations.shape == sol.converged.shape == (1,)
+
+
 def test_solve_min_norm_many_rejects_bad_stacks():
     with pytest.raises(ValueError, match="3-D"):
         solve_min_norm_many(np.eye(2))

@@ -7,8 +7,8 @@ import pytest
 from moograd import autodiff as ad
 from moograd.ml2o import (
     CheckpointError,
-    LstmCellParams,
     Ml2oParams,
+    _fused_cell,
     cell_array_shapes,
     check_compatible,
     evaluate_meta_loss,
@@ -16,7 +16,6 @@ from moograd.ml2o import (
     init_state,
     learned_step,
     load_checkpoint,
-    lstm_cell,
     meta_loss,
     meta_train,
     ml2o_direction,
@@ -29,9 +28,19 @@ from moograd.problems import make_quadratic_pair
 
 
 def make_cell(seed, in_w, hid, scale=0.5):
+    """Per-gate arrays of one cell, keyed wx_i, wh_i, bx_i, bh_i, wx_f, ..."""
     rng = np.random.default_rng(seed)
-    arrays = {n: rng.uniform(-scale, scale, s) for n, s in cell_array_shapes(in_w, hid).items()}
-    return LstmCellParams(in_w, hid, arrays)
+    return {n: rng.uniform(-scale, scale, s) for n, s in cell_array_shapes(in_w, hid).items()}
+
+
+def cell_update(s, h, c, arrays):
+    """One update of the cell through ``ad.lstm`` on its fused arrays."""
+    return ad.lstm(s, h, c, *_fused_cell(arrays, ""))
+
+
+def cell_arrays(params, prefix):
+    """The per-gate arrays of cell ``prefix`` of a full parameter set."""
+    return {k.split(".", 1)[1]: v for k, v in params.arrays.items() if k.startswith(prefix + ".")}
 
 
 def scalar_loop_cell(s, h, c, arrays):
@@ -70,16 +79,16 @@ def test_preprocess_channels():
 
 def test_lstm_cell_all_zero():
     cell = make_cell(0, 2, 3, scale=0.0)
-    h, c = lstm_cell(np.zeros((4, 2)), (np.zeros((4, 3)), np.zeros((4, 3))), cell)
+    h, c = cell_update(np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((4, 3)), cell)
     assert np.all(h == 0.0) and np.all(c == 0.0)
 
 
 def test_lstm_cell_saturated_forget_keeps_memory():
     cell = make_cell(1, 2, 3, scale=0.0)
-    cell.arrays["bx_f"] = np.full((1, 3), 50.0)  # forget gate pinned open
+    cell["bx_f"] = np.full((1, 3), 50.0)  # forget gate pinned open
     c0 = np.array([[1.0, -2.0, 0.5]])
     s = np.zeros((1, 2))
-    _, c1 = lstm_cell(s, (np.zeros((1, 3)), c0), cell)
+    _, c1 = cell_update(s, np.zeros((1, 3)), c0, cell)
     # i = 0.5, g = 0 at zero weights, so c' = c exactly up to saturation error
     assert np.allclose(c1, c0, atol=1e-10)
 
@@ -90,8 +99,8 @@ def test_lstm_cell_matches_scalar_loop():
     s = rng.normal(size=(5, 2))
     h0 = rng.normal(size=(5, 2))
     c0 = rng.normal(size=(5, 2))
-    h, c = lstm_cell(s, (h0, c0), cell)
-    h_ref, c_ref = scalar_loop_cell(s, h0, c0, cell.arrays)
+    h, c = cell_update(s, h0, c0, cell)
+    h_ref, c_ref = scalar_loop_cell(s, h0, c0, cell)
     assert np.allclose(h, h_ref, atol=1e-12)
     assert np.allclose(c, c_ref, atol=1e-12)
 
@@ -128,13 +137,13 @@ def test_direction_matches_manual_unroll():
     g, new_state = ml2o_direction(y, state, params)
     # manual composition through the scalar-loop reference
     h1, c1 = scalar_loop_cell(
-        preprocess_gradient(y[0]), state.spec_h[0], state.spec_c[0], params.cell("specific0").arrays
+        preprocess_gradient(y[0]), state.spec_h[0], state.spec_c[0], cell_arrays(params, "specific0")
     )
     h2, c2 = scalar_loop_cell(
-        preprocess_gradient(y[1]), state.spec_h[1], state.spec_c[1], params.cell("specific1").arrays
+        preprocess_gradient(y[1]), state.spec_h[1], state.spec_c[1], cell_arrays(params, "specific1")
     )
     s_sh = np.concatenate([h1, h2], axis=1)
-    h_sh, c_sh = scalar_loop_cell(s_sh, state.shared_h, state.shared_c, params.cell("shared").arrays)
+    h_sh, c_sh = scalar_loop_cell(s_sh, state.shared_h, state.shared_c, cell_arrays(params, "shared"))
     g_ref = h_sh @ params.arrays["head.w"] + params.arrays["head.b"]
     assert np.allclose(g, g_ref.reshape(-1), atol=1e-12)
     assert np.allclose(new_state.shared_c, c_sh, atol=1e-12)
@@ -246,7 +255,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     path = str(tmp_path / "ck.json")
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
-    assert loaded.m == 3 and loaded.hidden == 4 and loaded.out_width == 1
+    assert loaded.m == 3 and loaded.hidden == 4
     for name in params.arrays:
         assert np.array_equal(loaded.arrays[name], params.arrays[name])
 
@@ -270,6 +279,17 @@ def test_checkpoint_corrupt_and_version(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_other_out_width(tmp_path):
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(init_params(2, 3, seed=0), path)
+    doc = json.load(open(path))
+    assert doc["out_width"] == 1
+    doc["out_width"] = 2
+    open(path, "w").write(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="'out_width'"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_objective_mismatch(tmp_path):
     params = init_params(2, 3, seed=0)
     prob3 = type("P", (), {"objectives": 3})()
@@ -282,3 +302,10 @@ def test_evaluate_meta_loss_runs():
     problems = [make_quadratic_pair(4, seed=s) for s in range(3)]
     val = evaluate_meta_loss(problems, params, steps=10, alpha=0.1, seed=0)
     assert math.isfinite(val)
+
+
+def test_evaluate_meta_loss_rejects_unknown_draw_mode():
+    params = init_params(2, 4, seed=1)
+    problems = [make_quadratic_pair(4, seed=0)]
+    with pytest.raises(ValueError, match="draw_mode"):
+        evaluate_meta_loss(problems, params, steps=10, alpha=0.1, seed=0, draw_mode="Exact")

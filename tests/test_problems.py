@@ -7,7 +7,6 @@ from moograd.problems import (
     QuadraticPair,
     ToyMtlProblem,
     UnsupportedCapability,
-    distance_to_front,
     make_problem,
     make_quadratic_pair,
     make_toy_mtl,
@@ -173,20 +172,20 @@ def test_distance_to_front():
     c1, c2 = np.zeros(3), np.array([1.0, 0.0, 0.0])
     prob = QuadraticPair(c1, c2)
     on_seg = np.array([0.3, 0.0, 0.0])
-    assert distance_to_front(prob, on_seg) == pytest.approx(0.0, abs=1e-12)
+    assert prob.distance_to_front(on_seg) == pytest.approx(0.0, abs=1e-12)
     off = np.array([0.3, 0.4, 0.0])
-    assert distance_to_front(prob, off) == pytest.approx(0.4, abs=1e-12)
-    assert distance_to_front(prob, off) == pytest.approx(
+    assert prob.distance_to_front(off) == pytest.approx(0.4, abs=1e-12)
+    assert prob.distance_to_front(off) == pytest.approx(
         segment_scan_distance(off, c1, c2), abs=1e-6
     )
     one_d = QuadraticPair([0.0], [1.0])
-    assert distance_to_front(one_d, np.array([2.0])) == pytest.approx(1.0)
+    assert one_d.distance_to_front(np.array([2.0])) == pytest.approx(1.0)
 
 
 def test_distance_to_front_requires_capability():
     prob = make_toy_mtl(seed=0, samples=32, batch=4)
     with pytest.raises(UnsupportedCapability):
-        distance_to_front(prob, prob.initial_point(np.random.default_rng(0)))
+        prob.distance_to_front(prob.initial_point(np.random.default_rng(0)))
 
 
 def test_quadratic_criticality_zero_only_on_segment():
