@@ -3,9 +3,10 @@
 All tensors are row-major ``numpy.float64`` arrays. The primitive set is
 fixed to what the recurrent optimizer and its training loss need: add, sub,
 mul (Hadamard), matmul, concat, slice, scale, sum, max-over-list and one
-fused LSTM cell. Every primitive accepts either plain arrays (untaped, fast
-path) or :class:`Var` handles bound to a :class:`Tape`; mixing the two lifts
-arrays to constants on the operand's tape.
+fused LSTM cell, plus ``stack``. Every primitive accepts either plain arrays
+(untaped, fast path) or :class:`Var` handles bound to a :class:`Tape`. Plain
+arrays among taped operands are constants: they get no node, and
+:func:`backward` skips them.
 
 Each primitive is one function: it computes its value and, on a tape,
 records a node holding its input ids and a closure that maps the output
@@ -19,7 +20,7 @@ rows). Anything broader is rejected.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,11 @@ def all_finite(x) -> bool:
 
 
 class TapeNode:
-    """A value; ``backward(g)`` gives one adjoint (or None) per input, and is None on constants."""
+    """A value; ``backward(g)`` gives one adjoint (or None) per input.
+
+    ``inputs`` holds the node id of each taped input and None for each
+    constant one, in argument order.
+    """
 
     __slots__ = ("inputs", "value", "backward")
 
@@ -58,15 +63,12 @@ class TapeNode:
 class Var:
     """Handle to a node on a tape. ``value`` is the forward array."""
 
-    __slots__ = ("tape", "nid")
+    __slots__ = ("tape", "nid", "value")
 
-    def __init__(self, tape: "Tape", nid: int):
+    def __init__(self, tape: "Tape", nid: int, value: np.ndarray):
         self.tape = tape
         self.nid = nid
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape.nodes[self.nid].value
+        self.value = value
 
 
 def value(x) -> np.ndarray:
@@ -107,10 +109,7 @@ class Tape:
 
     def _append(self, inputs, value, backward) -> Var:
         self.nodes.append(TapeNode(inputs, value, backward))
-        return Var(self, len(self.nodes) - 1)
-
-    def constant(self, value) -> Var:
-        return self._append((), np.asarray(value, dtype=np.float64), None)
+        return Var(self, len(self.nodes) - 1, value)
 
     def param(self, store: ParamStore, name: str) -> Var:
         def accumulate(g):
@@ -120,27 +119,21 @@ class Tape:
         return self._append((), store.params[name], accumulate)
 
 
-def _lift(tape: Tape, x) -> Var:
-    if isinstance(x, Var):
-        if x.tape is not tape:
-            raise ValueError("operands live on different tapes")
-        return x
-    return tape.constant(x)
-
-
-def _find_tape(args: Iterable) -> Tape | None:
-    for a in args:
-        if isinstance(a, Var):
-            return a.tape
-    return None
-
-
 def _record(inputs, out: np.ndarray, backward):
     """``out`` itself when no input is taped, else a Var of a new node on their tape."""
-    tape = _find_tape(inputs)
+    tape, ids = None, []
+    for x in inputs:
+        if isinstance(x, Var):
+            if tape is None:
+                tape = x.tape
+            elif x.tape is not tape:
+                raise ValueError("operands live on different tapes")
+            ids.append(x.nid)
+        else:
+            ids.append(None)
     if tape is None:
         return out
-    return tape._append(tuple(_lift(tape, x).nid for x in inputs), out, backward)
+    return tape._append(tuple(ids), out, backward)
 
 
 class _Indexed(NamedTuple):
@@ -223,7 +216,7 @@ def scale(a, factor):
 def sum_(a):
     x = value(a)
     return _record((a,), np.asarray(x.sum()),
-                   lambda g: (np.broadcast_to(g, x.shape).astype(np.float64),))
+                   lambda g: (np.full(x.shape, g),))
 
 
 def maxlist(parts):
@@ -240,77 +233,128 @@ def maxlist(parts):
                    lambda g: [g.reshape(shape) if i == arg else None for i in range(n)])
 
 
-def lstm(s, h, c, wx, wh, b):
-    """One LSTM cell update as a single tape node; returns ``(h', c')``.
+def stack(parts):
+    """The arrays ``parts`` stacked on a new leading axis."""
+    parts = tuple(parts)
+    return _record(parts, np.stack([value(p) for p in parts]), tuple)
 
-    ``s`` is (N, in), ``h`` and ``c`` are (N, H); ``wx`` (in, 4H), ``wh``
-    (H, 4H) and ``b`` (1, 4H) hold the gates in :data:`LSTM_GATES` column
-    order. With ``pre = s wx + h wh + b`` split into gates i, f, o, g:
-    ``c' = sigmoid(f) c + sigmoid(i) tanh(g)`` and
-    ``h' = sigmoid(o) tanh(c')``. The node's value stacks ``h'`` and ``c'``
-    into one (2, N, H) array, read back by two slices. Taped and untaped
-    calls run the same code.
+
+# A stacked cell runs slice by slice once one slice's gate block (N x 4H) has
+# this many entries (128 KiB, glibc's default mmap threshold). Whole stacked
+# blocks that large made malloc give the freed heap top back to the system
+# after each call and fault it in again on the next: at N = 1870, H = 20,
+# M = 2, about 1100 page faults and 40 % more time per ml2o_direction. Smaller
+# stacks, such as meta-training's N = 8, H = 8 cells, run as one call.
+_SLICE_GATE_ENTRIES = 2**14
+
+
+def lstm(s, hc, wx, wh, b):
+    """One LSTM cell update as a single tape node; returns the new state ``hc'``.
+
+    ``s`` is (..., N, in) and ``hc`` is (2, ..., N, H), holding h then c;
+    ``wx`` (..., in, 4H), ``wh`` (..., H, 4H) and ``b`` (..., 1, 4H) hold
+    the gates in :data:`LSTM_GATES` column order. Leading axes stack
+    independent cells, and each slice of the result equals, bit for bit, the
+    call on that slice alone. With ``pre = s wx + h wh + b`` split into gates
+    i, f, o, g: ``c' = sigmoid(f) c + sigmoid(i) tanh(g)`` and
+    ``h' = sigmoid(o) tanh(c')``, returned as one (2, ..., N, H) array.
+    Taped and untaped calls run the same arithmetic.
     """
-    args = (s, h, c, wx, wh, b)
+    args = (s, hc, wx, wh, b)
     vals = [value(x) for x in args]
-    out, (gates, tc) = _lstm_forward(*vals)
-    hc = _record(args, out, lambda g: _lstm_backward(g, gates, tc, *vals[:5]))
-    return slice_(hc, 0), slice_(hc, 1)
+    taped = [isinstance(x, Var) for x in args]
+    out, gates, tc = _lstm_forward(*vals, keep=any(taped))
+    return _record(args, out, lambda g: _lstm_backward(g, gates, tc, *vals[:4], *taped[:2]))
 
 
-def _lstm_forward(s, h, c, wx, wh, b):
+def _lstm_forward(s, hc, wx, wh, b, keep):
+    """``(hc', gates, tanh(c'))``, the last two for the backward.
+
+    A slice-by-slice run keeps them only when ``keep``; an untaped run frees
+    each slice's buffers as it goes. Buffers are allocated in the order one
+    cell needs them (gates, hc', tanh(c')): at N = 1870 the heap then reuses
+    its pages across calls, where allocating all three up front made it
+    fault in about 1100 more pages per ``ml2o_direction`` call.
+    """
+    lead, hid = s.shape[:-2], hc.shape[-1]
     shapes_ok = (
-        s.ndim == 2 and c.ndim == 2 and h.shape == c.shape and s.shape[0] == c.shape[0]
-        and wx.shape == (s.shape[1], 4 * c.shape[1])
-        and wh.shape == (c.shape[1], 4 * c.shape[1])
-        and b.shape == (1, 4 * c.shape[1])
+        s.ndim >= 2 and hc.shape == (2,) + s.shape[:-1] + (hid,)
+        and wx.shape == lead + (s.shape[-1], 4 * hid)
+        and wh.shape == lead + (hid, 4 * hid)
+        and b.shape == lead + (1, 4 * hid)
     )
     if not shapes_ok:
         raise ShapeError(
-            f"lstm: incompatible shapes s {s.shape}, h {h.shape}, c {c.shape}, "
+            f"lstm: incompatible shapes s {s.shape}, hc {hc.shape}, "
             f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
         )
-    n, hid = c.shape
-    gates = s @ wx
-    gates += h @ wh
+    if not (lead and s.shape[-2] * 4 * hid >= _SLICE_GATE_ENTRIES):
+        return _lstm_cell(s, hc, wx, wh, b)
+    out = np.empty(hc.shape)
+    gates = tc = None
+    if keep:
+        gates, tc = np.empty(s.shape[:-1] + (4 * hid,)), np.empty(s.shape[:-1] + (hid,))
+    for i in np.ndindex(lead):
+        both = (slice(None),) + i
+        kept = (gates[i], tc[i]) if keep else ()
+        _lstm_cell(s[i], hc[both], wx[i], wh[i], b[i], out[both], *kept)
+    return out, gates, tc
+
+
+def _lstm_cell(s, hc, wx, wh, b, out=None, gates=None, tc=None):
+    """The forward of :func:`lstm`; returns ``(hc', gates, tanh(c'))``, each
+    written into its buffer when one is given."""
+    hid = hc.shape[-1]
+    gates = np.matmul(s, wx, out=gates)
+    gates += hc[0] @ wh
     gates += b
     # Activations in place; sigmoid(z) = 0.5 + 0.5 tanh(z / 2) cannot overflow.
-    sig = gates[:, : 3 * hid]
+    # One tanh covers the halved sigmoid block and the candidate block.
+    sig, cand = gates[..., : 3 * hid], gates[..., 3 * hid :]
     sig *= 0.5
-    np.tanh(sig, out=sig)
+    np.tanh(gates, out=gates)
     sig *= 0.5
     sig += 0.5
-    cand = gates[:, 3 * hid :]
-    np.tanh(cand, out=cand)
-    gi, gf, go = sig[:, :hid], sig[:, hid : 2 * hid], sig[:, 2 * hid :]
-    out = np.empty((2, n, hid))
+    gi, gf, go = sig[..., :hid], sig[..., hid : 2 * hid], sig[..., 2 * hid :]
+    if out is None:
+        out = np.empty(hc.shape)
     h_new, c_new = out
-    np.multiply(gf, c, out=c_new)
+    np.multiply(gf, hc[1], out=c_new)
     np.multiply(gi, cand, out=h_new)  # h_new holds i*g until h' is written
     c_new += h_new
-    tc = np.tanh(c_new)
+    tc = np.tanh(c_new, out=tc)
     np.multiply(go, tc, out=h_new)
-    return out, (gates, tc)
+    return out, gates, tc
 
 
-def _lstm_backward(g, gates, tc, s, h, c, wx, wh):
-    """Adjoints of (s, h, c, wx, wh, b) from the stacked output adjoint g = (dh', dc')."""
-    hid = tc.shape[1]
-    gi, gf, go, cand = (gates[:, k * hid : (k + 1) * hid] for k in range(4))
+def _lstm_backward(g, gates, tc, s, hc, wx, wh, need_s, need_hc):
+    """Adjoints of (s, hc, wx, wh, b) from the output adjoint g = (dh', dc').
+
+    The adjoints of ``s`` and ``hc`` are None unless ``need_s`` and
+    ``need_hc``: a constant input's adjoint is never read.
+    """
+    hid = tc.shape[-1]
+    gi, gf, go, cand = (gates[..., k * hid : (k + 1) * hid] for k in range(4))
     dh_new, dc_new = g
     dc_tot = dh_new * go
     dc_tot *= 1.0 - tc * tc
     dc_tot += dc_new
     dpre = np.empty_like(gates)
-    np.multiply(dc_tot, cand, out=dpre[:, :hid])
-    np.multiply(dc_tot, c, out=dpre[:, hid : 2 * hid])
-    np.multiply(dh_new, tc, out=dpre[:, 2 * hid : 3 * hid])
-    np.multiply(dc_tot, gi, out=dpre[:, 3 * hid :])
-    sig = gates[:, : 3 * hid]
-    dpre[:, : 3 * hid] *= sig * (1.0 - sig)
-    dpre[:, 3 * hid :] *= 1.0 - cand * cand
-    return (dpre @ wx.T, dpre @ wh.T, dc_tot * gf, s.T @ dpre, h.T @ dpre,
-            dpre.sum(axis=0, keepdims=True))
+    np.multiply(dc_tot, cand, out=dpre[..., :hid])
+    np.multiply(dc_tot, hc[1], out=dpre[..., hid : 2 * hid])
+    np.multiply(dh_new, tc, out=dpre[..., 2 * hid : 3 * hid])
+    np.multiply(dc_tot, gi, out=dpre[..., 3 * hid :])
+    sig = gates[..., : 3 * hid]
+    dpre[..., : 3 * hid] *= sig * (1.0 - sig)
+    dpre[..., 3 * hid :] *= 1.0 - cand * cand
+    ds = dpre @ wx.swapaxes(-1, -2) if need_s else None
+    dhc = None
+    if need_hc:
+        dhc = np.empty(hc.shape)
+        np.matmul(dpre, wh.swapaxes(-1, -2), out=dhc[0])
+        np.multiply(dc_tot, gf, out=dhc[1])
+    return (ds, dhc, s.swapaxes(-1, -2) @ dpre, hc[0].swapaxes(-1, -2) @ dpre,
+            dpre.sum(axis=-2, keepdims=True))
 
 
 def backward(tape: Tape, output: Var) -> None:
@@ -322,7 +366,8 @@ def backward(tape: Tape, output: Var) -> None:
     Adjoints are not copied, so one array may be the adjoint of several
     nodes (``add`` hands its ``g`` to both inputs). The only in-place update
     adds an :class:`_Indexed` adjoint (from ``slice_``) into a buffer this
-    sweep allocated, which the lstm node's two slices share.
+    sweep allocated, such as the one the ``h`` slices of an lstm state share.
+    Constant inputs (id None) get no adjoint.
     """
     if output.tape is not tape:
         raise ValueError("output does not belong to this tape")
@@ -337,11 +382,11 @@ def backward(tape: Tape, output: Var) -> None:
 
     for nid in range(output.nid, -1, -1):
         g = adj[nid]
-        node = nodes[nid]
-        if g is None or node.backward is None:
+        if g is None:
             continue
+        node = nodes[nid]
         for iid, contrib in zip(node.inputs, node.backward(g)):
-            if contrib is None:
+            if iid is None or contrib is None:
                 continue
             prev = adj[iid]
             if type(contrib) is _Indexed:

@@ -262,8 +262,8 @@ def _write_manifest(out_dir: str, doc: dict) -> None:
     os.replace(tmp, os.path.join(out_dir, "manifest.json"))
 
 
-def _write_file(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` as a new file.
+def _create(path: str):
+    """``path`` opened for writing as a new file.
 
     An existing file is unlinked first: opening it with "w" would truncate it
     in place, and on ext4 each such truncation forces its old blocks to disk
@@ -272,7 +272,11 @@ def _write_file(path: str, text: str) -> None:
     """
     with contextlib.suppress(FileNotFoundError):
         os.unlink(path)
-    with open(path, "w") as fh:
+    return open(path, "w")
+
+
+def _write_file(path: str, text: str) -> None:
+    with _create(path) as fh:
         fh.write(text)
 
 
@@ -414,16 +418,31 @@ def validate_train_config(cfg: dict) -> list[str]:
             errors.append(f"window: {window} must be >= 1 and divide steps {steps}")
     if "epochs" in cfg and (not isinstance(cfg["epochs"], int) or cfg["epochs"] < 0):
         errors.append("epochs: must be an integer >= 0")
+    if "meta_lr" in cfg and not (isinstance(cfg["meta_lr"], (int, float)) and cfg["meta_lr"] >= 0):
+        errors.append("meta_lr: must be a number >= 0")
     if cfg.get("draw_mode", "sample") not in ("sample", "exact"):
         errors.append("draw_mode: must be 'sample' or 'exact'")
     return errors
 
 
 def train_ml2o_cmd(cfg: dict, out_dir: str | None = None) -> Ml2oParams:
-    """Meta-train from a config; writes checkpoint.json and meta_loss.csv."""
+    """Meta-train from a config; writes checkpoint.json and meta_loss.csv.
+
+    Training runs one epoch per ``meta_train`` call (resuming is exact), and
+    each epoch's rows are appended to meta_loss.csv and flushed as it ends,
+    so a run that diverges keeps the rows of every finished epoch.
+    """
     errors = validate_train_config(cfg)
     if errors:
         raise ConfigError(errors)
+    if cfg.get("init_checkpoint"):
+        try:
+            params = load_checkpoint(cfg["init_checkpoint"])
+        except CheckpointError as exc:
+            raise ConfigError([f"init_checkpoint: {exc}"]) from exc
+    else:
+        params = init_params(int(cfg.get("m", 2)), int(cfg.get("hidden", 8)), cfg["seed"],
+                             scale=cfg.get("init_scale", 0.1))
     out_dir = out_dir or cfg["outputs"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -433,29 +452,27 @@ def train_ml2o_cmd(cfg: dict, out_dir: str | None = None) -> Ml2oParams:
     def sampler(rng: np.random.Generator):
         return make_problem(pname, seed=int(rng.integers(2**31 - 1)), **pparams)
 
-    m = int(cfg.get("m", 2))
-    hidden = int(cfg.get("hidden", 8))
-    if cfg.get("init_checkpoint"):
-        params0 = load_checkpoint(cfg["init_checkpoint"])
-    else:
-        params0 = init_params(m, hidden, cfg["seed"], scale=cfg.get("init_scale", 0.1))
-    trained, trace = meta_train(
-        sampler,
-        params0,
-        steps=cfg["steps"],
-        window=cfg["window"],
-        meta_lr=cfg["meta_lr"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-        alpha=cfg.get("alpha", 0.1),
-        start_epoch=cfg.get("start_epoch", 0),
-        draw_mode=cfg.get("draw_mode", "sample"),
-    )
-    save_checkpoint(trained, os.path.join(out_dir, "checkpoint.json"))
-    with open(os.path.join(out_dir, "meta_loss.csv"), "w") as fh:
+    periods = 0
+    start = cfg.get("start_epoch", 0)
+    with _create(os.path.join(out_dir, "meta_loss.csv")) as fh:
         fh.write("epoch,period,meta_loss\n")
-        for epoch, period, loss in trace:
-            fh.write(f"{epoch},{period},{loss:.17g}\n")
+        for epoch in range(start, start + cfg["epochs"]):
+            params, trace = meta_train(
+                sampler,
+                params,
+                steps=cfg["steps"],
+                window=cfg["window"],
+                meta_lr=cfg["meta_lr"],
+                epochs=1,
+                seed=cfg["seed"],
+                alpha=cfg.get("alpha", 0.1),
+                start_epoch=epoch,
+                draw_mode=cfg.get("draw_mode", "sample"),
+            )
+            fh.writelines(f"{e},{period},{loss:.17g}\n" for e, period, loss in trace)
+            fh.flush()
+            periods += len(trace)
+    save_checkpoint(params, os.path.join(out_dir, "checkpoint.json"))
     _write_manifest(
         out_dir,
         {
@@ -463,11 +480,11 @@ def train_ml2o_cmd(cfg: dict, out_dir: str | None = None) -> Ml2oParams:
             "toolkit_version": __version__,
             "kind": "train",
             "config": cfg,
-            "periods": len(trace),
+            "periods": periods,
             "created_unix": time.time(),
         },
     )
-    return trained
+    return params
 
 
 COMPARE_METRICS = ("final-max-loss", "hypervolume", "criticality")

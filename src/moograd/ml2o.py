@@ -96,44 +96,35 @@ def init_params(m: int, hidden: int, seed: int, *, scale: float = 0.1) -> Ml2oPa
 
 @dataclass
 class Ml2oState:
-    spec_h: list
-    spec_c: list
-    shared_h: object
-    shared_c: object
+    """Recurrent state, h then c: ``spec`` (2, M, N, H) of the M objective
+    cells and ``shared`` (2, N, M * H) of the shared cell."""
+
+    spec: object
+    shared: object
 
     def detached(self) -> "Ml2oState":
-        return Ml2oState(
-            [ad.value(h) for h in self.spec_h],
-            [ad.value(c) for c in self.spec_c],
-            ad.value(self.shared_h),
-            ad.value(self.shared_c),
-        )
+        return Ml2oState(ad.value(self.spec), ad.value(self.shared))
 
 
 def init_state(m: int, hidden: int, n_coords: int) -> Ml2oState:
-    return Ml2oState(
-        [np.zeros((n_coords, hidden)) for _ in range(m)],
-        [np.zeros((n_coords, hidden)) for _ in range(m)],
-        np.zeros((n_coords, m * hidden)),
-        np.zeros((n_coords, m * hidden)),
-    )
+    return Ml2oState(np.zeros((2, m, n_coords, hidden)), np.zeros((2, n_coords, m * hidden)))
 
 
 def preprocess_gradient(g: np.ndarray, p: float = 10.0) -> np.ndarray:
-    """Two-channel bounded encoding of a gradient vector.
+    """Two-channel bounded encoding of a gradient vector or stack of them.
 
     Coordinates with |g| >= e^-p map to (log|g|/p, sign g); smaller ones to
-    (-1, e^p * g). Always returns an (N, 2) array of constants.
+    (-1, e^p * g). A (..., N) input gives a (..., N, 2) array of constants.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    g = np.asarray(g, dtype=np.float64).reshape(-1)
-    out = np.empty((g.size, 2))
+    g = np.asarray(g, dtype=np.float64)
+    out = np.empty(g.shape + (2,))
     mag = np.abs(g)
     big = mag >= math.exp(-p)
     with np.errstate(divide="ignore"):
-        out[:, 0] = np.where(big, np.log(np.maximum(mag, 1e-300)) / p, -1.0)
-    out[:, 1] = np.where(big, np.sign(g), math.exp(p) * g)
+        out[..., 0] = np.where(big, np.log(np.maximum(mag, 1e-300)) / p, -1.0)
+    out[..., 1] = np.where(big, np.sign(g), math.exp(p) * g)
     return out
 
 
@@ -148,24 +139,24 @@ def _fused_cell(arrays, prefix: str) -> tuple:
 
 
 def _fuse(arrays, m: int) -> tuple:
-    """Fused cells and head of an M-objective optimizer, built once per window or call."""
+    """Fused cells and head of an M-objective optimizer, built once per window or call.
+
+    The M objective cells are stacked on a leading axis into one ``ad.lstm``
+    cell.
+    """
     specific = [_fused_cell(arrays, f"specific{i}.") for i in range(m)]
-    return specific, _fused_cell(arrays, "shared."), arrays["head.w"], arrays["head.b"]
+    stacked = tuple(ad.stack(parts) for parts in zip(*specific))
+    return stacked, _fused_cell(arrays, "shared."), arrays["head.w"], arrays["head.b"]
 
 
 def _direction_core(y_rows: np.ndarray, state: Ml2oState, fused) -> tuple:
     """Shared forward pass; returns ((N,1) update column, new state)."""
     specific, shared, head_w, head_b = fused
-    spec_h, spec_c = [], []
-    for i, cell in enumerate(specific):
-        s = preprocess_gradient(y_rows[i])
-        h_new, c_new = ad.lstm(s, state.spec_h[i], state.spec_c[i], *cell)
-        spec_h.append(h_new)
-        spec_c.append(c_new)
-    s_sh = ad.concat(spec_h, axis=1)
-    h_sh, c_sh = ad.lstm(s_sh, state.shared_h, state.shared_c, *shared)
-    g_col = ad.add(ad.matmul(h_sh, head_w), head_b)
-    return g_col, Ml2oState(spec_h, spec_c, h_sh, c_sh)
+    spec = ad.lstm(preprocess_gradient(y_rows), state.spec, *specific)
+    s_sh = ad.concat([ad.slice_(spec, (0, i)) for i in range(len(y_rows))], axis=1)
+    sh = ad.lstm(s_sh, state.shared, *shared)
+    g_col = ad.add(ad.matmul(ad.slice_(sh, 0), head_w), head_b)
+    return g_col, Ml2oState(spec, sh)
 
 
 def ml2o_direction(y_rows: np.ndarray, state: Ml2oState, params: Ml2oParams):
@@ -233,7 +224,7 @@ def unroll_window(problem, x_col, state: Ml2oState, arrays, window: int,
     plain arrays (evaluation) and tape Vars (training).
     """
     alpha_at = alpha if callable(alpha) else (lambda k: alpha)
-    fused = _fuse(arrays, len(state.spec_h))
+    fused = _fuse(arrays, ad.value(state.spec).shape[1])
     f_prev = problem.eval_terms(x_col)
     losses = []
     x = x_col
@@ -374,6 +365,8 @@ def load_checkpoint(path: str) -> Ml2oParams:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint file {path!r}: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint file {path!r}: {exc}") from exc
     for key in ("version", "m", "hidden", "out_width", "arrays"):

@@ -25,8 +25,11 @@ def test_shape_errors_name_the_kind():
     with pytest.raises(ad.ShapeError, match="add"):
         ad.add(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ad.ShapeError, match="lstm"):
-        ad.lstm(np.zeros((2, 1)), np.zeros((2, 3)), np.zeros((2, 3)),
+        ad.lstm(np.zeros((2, 1)), np.zeros((2, 2, 3)),
                 np.zeros((1, 12)), np.zeros((3, 12)), np.zeros((1, 3)))
+    with pytest.raises(ad.ShapeError, match="lstm"):  # stack axes must agree
+        ad.lstm(np.zeros((2, 4, 1)), np.zeros((2, 2, 4, 3)),
+                np.zeros((3, 1, 12)), np.zeros((2, 3, 12)), np.zeros((2, 1, 12)))
 
 
 def test_square_gradient():
@@ -141,13 +144,14 @@ def test_dropped_tape_is_freed_without_the_cycle_collector():
     try:
         tape = ad.Tape()
         a, w, u, b = (tape.param(store, k) for k in ("a", "w", "u", "b"))
-        h, c = ad.lstm(a, a, a, w, u, b)
+        hc = ad.lstm(a, ad.stack([a, a]), w, u, b)
+        h, c = ad.slice_(hc, 0), ad.slice_(hc, 1)
         x = ad.concat([ad.sub(h, c), ad.scale(ad.mul(h, c), 2.0)], axis=1)
         x = ad.slice_(ad.matmul(x, np.ones((6, 3))), (slice(None), slice(0, 2)))
         out = ad.maxlist([ad.sum_(x), ad.sum_(ad.add(a, a))])
         ad.backward(tape, out)
         ref = weakref.ref(tape)
-        del tape, a, w, u, b, h, c, x, out
+        del tape, a, w, u, b, hc, h, c, x, out
         assert ref() is None
     finally:
         gc.enable()
@@ -175,8 +179,9 @@ def _random_lstm_loss(seed):
     def build(st):
         tape = ad.Tape()
         w, u, b, h0 = (tape.param(st, n) for n in ("w", "u", "b", "h0"))
-        h1, c1 = ad.lstm(s1, h0, np.zeros((4, 3)), w, u, b)
-        h2, c2 = ad.lstm(s2, h1, c1, w, u, b)
+        hc1 = ad.lstm(s1, ad.stack([h0, np.zeros((4, 3))]), w, u, b)
+        hc2 = ad.lstm(s2, hc1, w, u, b)
+        h2, c2 = ad.slice_(hc2, 0), ad.slice_(hc2, 1)
         return tape, ad.add(ad.sum_(ad.mul(h2, h2)), ad.sum_(c2))
 
     return store, build
@@ -222,7 +227,7 @@ def random_primitive_graph(seed):
         x = ad.add(ad.matmul(a, w), bias)
         ops = [
             lambda v: ad.mul(v, v),
-            lambda v: ad.lstm(v, b, v, wx4, wh4, b4)[0],
+            lambda v: ad.slice_(ad.lstm(v, ad.stack([b, v]), wx4, wh4, b4), 0),
             lambda v: ad.mul(v, b),
             lambda v: ad.add(v, b),
             lambda v: ad.sub(v, b),
@@ -257,14 +262,42 @@ def test_random_graph_gradients_match_fd_100_seeds(block):
         assert rel < 1e-4, f"seed {seed}: rel err {rel}"
 
 
-def _lstm_inputs(seed, n, in_w, hid, bias_scale=1.0):
+def _lstm_inputs(seed, n, in_w, hid, bias_scale=1.0, lead=()):
+    """A store of ``s``, ``hc`` (h and c stacked), ``wx``, ``wh``, ``b`` and
+    a random weighting of the output state."""
     rng = np.random.default_rng(seed)
     store = ad.ParamStore()
-    for name, shape in (("s", (n, in_w)), ("h", (n, hid)), ("c", (n, hid)),
-                        ("wx", (in_w, 4 * hid)), ("wh", (hid, 4 * hid))):
-        store.add(name, rng.normal(size=shape))
-    store.add("b", bias_scale * rng.normal(size=(1, 4 * hid)))
-    return store, rng.normal(size=(n, hid)), rng.normal(size=(n, hid))
+    shapes = {"s": (n, in_w), "h": (n, hid), "c": (n, hid),
+              "wx": (in_w, 4 * hid), "wh": (hid, 4 * hid)}
+    vals = {name: rng.normal(size=lead + shape) for name, shape in shapes.items()}
+    store.add("s", vals["s"])
+    store.add("hc", np.stack([vals["h"], vals["c"]]))
+    store.add("wx", vals["wx"])
+    store.add("wh", vals["wh"])
+    store.add("b", bias_scale * rng.normal(size=lead + (1, 4 * hid)))
+    return store, rng.normal(size=(2,) + lead + (n, hid))
+
+
+LSTM_ARGS = ("s", "hc", "wx", "wh", "b")
+
+
+def _weighted_lstm_loss(r):
+    def build(st):
+        tape = ad.Tape()
+        hc = ad.lstm(*(tape.param(st, k) for k in LSTM_ARGS))
+        return tape, ad.sum_(ad.mul(hc, r))
+    return build
+
+
+def _check_lstm_gradient(store, build, eps):
+    tape, out = build(store)
+    ad.backward(tape, out)
+    g_fd = ad.finite_diff_gradient(lambda st: float(build(st)[1].value), store, eps=eps)
+    for k in LSTM_ARGS:
+        assert np.any(store.grads[k] != 0.0), k
+        err = np.linalg.norm(store.grads[k] - g_fd[k]) / max(np.linalg.norm(g_fd[k]), 1e-12)
+        assert err < 1e-7, f"{k}: rel err {err}"
+    assert np.any(store.grads["hc"][0] != 0.0) and np.any(store.grads["hc"][1] != 0.0)
 
 
 @pytest.mark.parametrize(
@@ -273,35 +306,61 @@ def _lstm_inputs(seed, n, in_w, hid, bias_scale=1.0):
     ids=["random", "saturated", "single_row"],
 )
 def test_lstm_gradient_matches_fd_all_inputs(n, in_w, hid, bias_scale):
-    store, r_h, r_c = _lstm_inputs(11, n, in_w, hid, bias_scale)
-    names = ("s", "h", "c", "wx", "wh", "b")
-
-    def build(st):
-        tape = ad.Tape()
-        h_new, c_new = ad.lstm(*(tape.param(st, k) for k in names))
-        return tape, ad.add(ad.sum_(ad.mul(h_new, r_h)), ad.sum_(ad.mul(c_new, r_c)))
-
+    store, r = _lstm_inputs(11, n, in_w, hid, bias_scale)
     if bias_scale > 1.0:  # most gates saturated: sigmoid(4) = 0.982, tanh(4) = 0.9993
         p = store.params
-        pre = p["s"] @ p["wx"] + p["h"] @ p["wh"] + p["b"]
+        pre = p["s"] @ p["wx"] + p["hc"][0] @ p["wh"] + p["b"]
         assert np.mean(np.abs(pre) > 4.0) > 0.5
-    tape, out = build(store)
-    ad.backward(tape, out)
-    g_fd = ad.finite_diff_gradient(lambda st: float(build(st)[1].value), store, eps=1e-6)
-    for k in names:
-        assert np.any(store.grads[k] != 0.0), k
-        err = np.linalg.norm(store.grads[k] - g_fd[k]) / max(np.linalg.norm(g_fd[k]), 1e-12)
-        assert err < 1e-7, f"{k}: rel err {err}"
+    _check_lstm_gradient(store, _weighted_lstm_loss(r), eps=1e-6)
+
+
+def test_stacked_lstm_gradient_matches_fd():
+    store, r = _lstm_inputs(13, 3, 2, 3, lead=(2,))
+    _check_lstm_gradient(store, _weighted_lstm_loss(r), eps=1e-6)
 
 
 def test_lstm_taped_and_untaped_outputs_bitwise_equal():
-    store, _, _ = _lstm_inputs(12, 6, 3, 4)
-    names = ("s", "h", "c", "wx", "wh", "b")
-    plain = ad.lstm(*(store.params[k] for k in names))
+    store, _ = _lstm_inputs(12, 6, 3, 4)
+    plain = ad.lstm(*(store.params[k] for k in LSTM_ARGS))
     tape = ad.Tape()
-    taped = ad.lstm(*(tape.param(store, k) for k in names))
-    for p, v in zip(plain, taped):
-        assert isinstance(v, ad.Var) and np.array_equal(p, v.value)
+    taped = ad.lstm(*(tape.param(store, k) for k in LSTM_ARGS))
+    assert isinstance(taped, ad.Var) and np.array_equal(plain, taped.value)
+
+
+@pytest.mark.parametrize("lead, n, in_w, hid, sliced",
+                         [((3,), 5, 2, 4, False), ((2,), 1870, 2, 20, True)],
+                         ids=["small", "slice_by_slice"])
+def test_stacked_lstm_equals_per_slice_calls_bitwise(lead, n, in_w, hid, sliced):
+    assert (n * 4 * hid >= ad._SLICE_GATE_ENTRIES) == sliced
+    store, r = _lstm_inputs(14, n, in_w, hid, lead=lead)
+    p = store.params
+    stacked = ad.lstm(*(p[k] for k in LSTM_ARGS))
+    tape, out = _weighted_lstm_loss(r)(store)
+    ad.backward(tape, out)
+    for i in range(lead[0]):
+        one = ad.ParamStore()
+        for k in LSTM_ARGS:
+            one.add(k, p[k][:, i] if k == "hc" else p[k][i])
+        assert np.array_equal(stacked[:, i], ad.lstm(*(one.params[k] for k in LSTM_ARGS)))
+        tape, out = _weighted_lstm_loss(r[:, i])(one)
+        ad.backward(tape, out)
+        for k in LSTM_ARGS:
+            want = store.grads[k][:, i] if k == "hc" else store.grads[k][i]
+            assert np.array_equal(one.grads[k], want), k
+
+
+def test_taped_ops_record_no_constant_nodes():
+    store = scalar_store(x=np.ones((2, 3)), hc=np.zeros((2, 2, 3)), wx=np.ones((1, 12)),
+                         wh=np.ones((3, 12)), b=np.ones((1, 12)))
+    tape = ad.Tape()
+    x, hc, wx, wh, b = (tape.param(store, k) for k in ("x", "hc", "wx", "wh", "b"))
+    y = ad.mul(ad.add(x, np.ones((2, 3))), np.full((2, 3), 2.0))
+    state = ad.lstm(np.ones((2, 1)), hc, wx, wh, b)
+    assert len(tape.nodes) == 8  # five params, add, mul, lstm
+    assert tape.nodes[y.nid].inputs == (y.nid - 1, None)
+    assert tape.nodes[state.nid].inputs == (None, hc.nid, wx.nid, wh.nid, b.nid)
+    ad.backward(tape, ad.add(ad.sum_(y), ad.sum_(state)))
+    assert np.array_equal(store.grads["x"], np.full((2, 3), 2.0))
 
 
 def test_finite_diff_basics():

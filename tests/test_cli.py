@@ -59,12 +59,41 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", cfg]) == 1
 
 
-def test_runtime_error_exit_code(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        optimizer={"name": "ml2o", "params": {"checkpoint": str(tmp_path / "missing.json")}},
-    )
-    assert main(["run", "--config", cfg]) == 2
+def train_cfg(tmp_path, **over):
+    cfg = {
+        "problem_sampler": {"name": "quadratic_pair", "params": {"dim": 2}},
+        "hidden": 3,
+        "steps": 4,
+        "window": 2,
+        "meta_lr": 0.01,
+        "epochs": 1,
+        "alpha": 0.1,
+        "seed": 0,
+        "outputs": str(tmp_path / "train"),
+    }
+    cfg.update(over)
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_runtime_error_exit_code(tmp_path, capsys):
+    # a valid config whose training diverges: meta_lr blows the weights up after two epochs
+    cfg = train_cfg(tmp_path, steps=2, window=2, meta_lr=1e100, epochs=4)
+    with np.errstate(all="ignore"):
+        assert main(["train-ml2o", "--config", cfg]) == 2
+    assert "MetaTrainDiverged" in capsys.readouterr().err
+
+
+def test_missing_checkpoint_is_config_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    cfg = write_cfg(tmp_path, optimizer={"name": "ml2o", "params": {"checkpoint": missing}})
+    assert main(["run", "--config", cfg]) == 1
+    assert "optimizer.params.checkpoint: cannot read" in capsys.readouterr().err
+    cfg = train_cfg(tmp_path, init_checkpoint=missing)
+    assert main(["train-ml2o", "--config", cfg]) == 1
+    assert "init_checkpoint: cannot read" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "train")
 
 
 def test_non_finite_checkpoint_is_config_error(tmp_path, capsys):
@@ -81,20 +110,7 @@ def test_non_finite_checkpoint_is_config_error(tmp_path, capsys):
 
 
 def test_train_subcommand(tmp_path):
-    cfg = {
-        "problem_sampler": {"name": "quadratic_pair", "params": {"dim": 2}},
-        "hidden": 3,
-        "steps": 4,
-        "window": 2,
-        "meta_lr": 0.01,
-        "epochs": 1,
-        "alpha": 0.1,
-        "seed": 0,
-        "outputs": str(tmp_path / "train"),
-    }
-    path = tmp_path / "train.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["train-ml2o", "--config", str(path)]) == 0
+    assert main(["train-ml2o", "--config", train_cfg(tmp_path)]) == 0
     assert os.path.exists(tmp_path / "train" / "checkpoint.json")
 
 

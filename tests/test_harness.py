@@ -13,7 +13,8 @@ from moograd.harness import (
     train_ml2o_cmd,
     validate_run_config,
 )
-from moograd.ml2o import init_params, save_checkpoint
+from moograd.ml2o import MetaTrainDiverged, init_params, meta_train, save_checkpoint
+from moograd.problems import make_problem
 
 
 def base_config(outputs, **over):
@@ -335,6 +336,47 @@ def test_train_cmd_resume_matches_uninterrupted(tmp_path):
     )
     for name in full.arrays:
         assert np.array_equal(full.arrays[name], resumed.arrays[name])
+
+
+def test_train_cmd_checkpoint_equals_one_meta_train_call(tmp_path):
+    cfg = train_config(str(tmp_path / "epochwise"))
+    train_ml2o_cmd(cfg)
+    sampler = lambda rng: make_problem("quadratic_pair", seed=int(rng.integers(2**31 - 1)),
+                                       dim=2, noise_sigma=0.0)
+    trained, trace = meta_train(sampler, init_params(2, 3, 11), steps=8, window=4, meta_lr=0.02,
+                                epochs=3, seed=11, alpha=0.1, draw_mode="exact")
+    one_call = str(tmp_path / "one_call.json")
+    save_checkpoint(trained, one_call)
+    with open(one_call, "rb") as a, open(os.path.join(cfg["outputs"], "checkpoint.json"), "rb") as b:
+        assert a.read() == b.read()
+    rows = read_csv(os.path.join(cfg["outputs"], "meta_loss.csv"))[1:]
+    assert rows == [f"{e},{p},{loss:.17g}" for e, p, loss in trace]
+
+
+def test_train_cmd_keeps_finished_epochs_after_divergence(tmp_path):
+    out = str(tmp_path / "diverged")
+    cfg = train_config(out, steps=2, window=2, meta_lr=1e100, epochs=4, draw_mode="sample")
+    with np.errstate(all="ignore"), pytest.raises(MetaTrainDiverged, match="epoch 2 period 0"):
+        train_ml2o_cmd(cfg)
+    rows = read_csv(os.path.join(out, "meta_loss.csv"))
+    assert rows[0] == "epoch,period,meta_loss"
+    assert [r.split(",")[:2] for r in rows[1:]] == [["0", "0"], ["1", "0"]]
+
+
+def test_train_cmd_bad_init_checkpoint_is_config_error(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(ConfigError, match="init_checkpoint: cannot read"):
+        train_ml2o_cmd(train_config(str(tmp_path / "a"), init_checkpoint=missing))
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text("{")
+    with pytest.raises(ConfigError, match="init_checkpoint: corrupt"):
+        train_ml2o_cmd(train_config(str(tmp_path / "b"), init_checkpoint=str(corrupt)))
+
+
+def test_train_cmd_rejects_negative_meta_lr(tmp_path):
+    # checked up front, since zero epochs never reach meta_train's own check
+    with pytest.raises(ConfigError, match="meta_lr"):
+        train_ml2o_cmd(train_config(str(tmp_path / "c"), meta_lr=-0.1, epochs=0))
 
 
 def test_train_cmd_rejects_fixed_sampler_seed(tmp_path):

@@ -189,13 +189,30 @@ def test_solve_min_norm_many_matches_scalar_solve_on_hard_battery(monkeypatch, s
 
 
 def test_one_row_stack_is_one_scalar_solve(monkeypatch):
-    calls = []
-    real = minnorm.solve_min_norm
-    monkeypatch.setattr(minnorm, "solve_min_norm", lambda *a: calls.append(None) or real(*a))
-    sol = solve_min_norm_many(np.random.default_rng(2).normal(size=(1, 3, 4)))
-    assert len(calls) == 1
+    """One ``solve_min_norm`` call, which validates once, with its fields as (1, ...) arrays."""
+    ws = np.random.default_rng(2).normal(size=(1, 3, 4))
+    calls = {"scalar": 0, "validate": 0, "solve": 0}
+
+    def counted(name, real):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return real(*a, **kw)
+
+        return wrapper
+
+    monkeypatch.setattr(minnorm, "solve_min_norm", counted("scalar", minnorm.solve_min_norm))
+    monkeypatch.setattr(
+        minnorm, "validate_gradient_matrix", counted("validate", minnorm.validate_gradient_matrix)
+    )
+    monkeypatch.setattr(minnorm, "_active_set", counted("solve", minnorm._active_set))
+    sol = solve_min_norm_many(ws)
+    assert calls == {"scalar": 1, "validate": 1, "solve": 1}
     assert sol.weights.shape == (1, 3) and sol.combined.shape == (1, 4)
     assert sol.gap.shape == sol.iterations.shape == sol.converged.shape == (1,)
+    one = solve_min_norm(ws[0])
+    for name in SOLUTION_FIELDS:
+        got, want = getattr(sol, name), np.array([getattr(one, name)])
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_solve_min_norm_many_rejects_bad_stacks():

@@ -34,8 +34,9 @@ def make_cell(seed, in_w, hid, scale=0.5):
 
 
 def cell_update(s, h, c, arrays):
-    """One update of the cell through ``ad.lstm`` on its fused arrays."""
-    return ad.lstm(s, h, c, *_fused_cell(arrays, ""))
+    """One update of the cell through ``ad.lstm`` on its fused arrays; returns (h', c')."""
+    hc = ad.lstm(s, np.stack([h, c]), *_fused_cell(arrays, ""))
+    return hc[0], hc[1]
 
 
 def cell_arrays(params, prefix):
@@ -137,16 +138,17 @@ def test_direction_matches_manual_unroll():
     g, new_state = ml2o_direction(y, state, params)
     # manual composition through the scalar-loop reference
     h1, c1 = scalar_loop_cell(
-        preprocess_gradient(y[0]), state.spec_h[0], state.spec_c[0], cell_arrays(params, "specific0")
+        preprocess_gradient(y[0]), state.spec[0, 0], state.spec[1, 0], cell_arrays(params, "specific0")
     )
     h2, c2 = scalar_loop_cell(
-        preprocess_gradient(y[1]), state.spec_h[1], state.spec_c[1], cell_arrays(params, "specific1")
+        preprocess_gradient(y[1]), state.spec[0, 1], state.spec[1, 1], cell_arrays(params, "specific1")
     )
     s_sh = np.concatenate([h1, h2], axis=1)
-    h_sh, c_sh = scalar_loop_cell(s_sh, state.shared_h, state.shared_c, cell_arrays(params, "shared"))
+    h_sh, c_sh = scalar_loop_cell(s_sh, state.shared[0], state.shared[1], cell_arrays(params, "shared"))
     g_ref = h_sh @ params.arrays["head.w"] + params.arrays["head.b"]
     assert np.allclose(g, g_ref.reshape(-1), atol=1e-12)
-    assert np.allclose(new_state.shared_c, c_sh, atol=1e-12)
+    assert np.allclose(new_state.shared[1], c_sh, atol=1e-12)
+    assert np.allclose(new_state.spec, [[h1, h2], [c1, c2]], atol=1e-12)
 
 
 def test_direction_state_deterministic():
@@ -155,7 +157,7 @@ def test_direction_state_deterministic():
     g1, s1 = ml2o_direction(y, init_state(2, 4, 3), params)
     g2, s2 = ml2o_direction(y, init_state(2, 4, 3), params)
     assert np.array_equal(g1, g2)
-    assert np.array_equal(s1.shared_h, s2.shared_h)
+    assert np.array_equal(s1.shared, s2.shared) and np.array_equal(s1.spec, s2.spec)
 
 
 def test_ml2o_step_zero_alpha_state_still_advances():
@@ -165,7 +167,7 @@ def test_ml2o_step_zero_alpha_state_still_advances():
     memory = {}
     xs1, *_ = learned_step(prob, x0[None], 1, 0.0, None, memory, params, exact=True)
     assert np.array_equal(x0, xs1[0])
-    assert not np.allclose(memory["ml2o_states"][0].shared_h, init_state(2, 4, 3).shared_h)
+    assert not np.allclose(memory["ml2o_states"][0].shared[0], init_state(2, 4, 3).shared[0])
     params0 = init_params(2, 4, seed=6, scale=0.0)
     xs2, *_ = learned_step(prob, x0[None], 1, 0.5, None, {}, params0, exact=True)
     assert np.array_equal(x0, xs2[0])  # zero head leaves x unchanged
@@ -212,6 +214,28 @@ def test_bptt_matches_finite_differences_tiny():
         rel = np.linalg.norm(g_ad - g_fd) / max(np.linalg.norm(g_fd), 1e-300)
         failures += rel >= 1e-4
     assert failures == 0
+
+
+def test_preprocess_stack_equals_rows():
+    y = np.random.default_rng(1).normal(size=(3, 6)) * np.logspace(-8, 1, 6)
+    enc = preprocess_gradient(y)
+    assert enc.shape == (3, 6, 2)
+    for row, e in zip(y, enc):
+        assert np.array_equal(preprocess_gradient(row), e)
+
+
+def test_unroll_window_records_few_nodes():
+    """One H=8, dim-8 training window of 20 steps: 22 nodes a step, no constants."""
+    params = init_params(2, 8, seed=0)
+    prob = make_quadratic_pair(8, seed=3, noise_sigma=0.1)
+    rng = np.random.default_rng(0)
+    store = store_from_params(params)
+    tape = ad.Tape()
+    leafs = {n: tape.param(store, n) for n in store.names()}
+    x0 = prob.initial_point(rng).reshape(-1, 1)
+    unroll_window(prob, x0, init_state(2, 8, 8), leafs, 20, 0.35,
+                  lambda j, xv: prob.sample_gradient(xv, rng))
+    assert len(tape.nodes) <= 510
 
 
 def test_meta_train_zero_lr_keeps_params():
