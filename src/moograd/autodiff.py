@@ -20,7 +20,7 @@ rows). Anything broader is rejected.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -136,13 +136,6 @@ def _record(inputs, out: np.ndarray, backward):
     return tape._append(tuple(ids), out, backward)
 
 
-class _Indexed(NamedTuple):
-    """An adjoint ``g`` of the entries ``key`` of an input, zero elsewhere."""
-
-    key: object
-    g: np.ndarray
-
-
 def _check_elementwise(a: np.ndarray, b: np.ndarray, kind: str) -> None:
     if a.shape == b.shape:
         return
@@ -204,8 +197,14 @@ def concat(parts, axis=0):
 
 def slice_(a, key):
     """``a[key]`` for any basic-indexing key."""
-    return _record((a,), np.asarray(value(a)[key], dtype=np.float64),
-                   lambda g: (_Indexed(key, g),))
+    x = value(a)
+
+    def backward(g):
+        dx = np.zeros(x.shape)
+        dx[key] = g
+        return (dx,)
+
+    return _record((a,), np.asarray(x[key], dtype=np.float64), backward)
 
 
 def scale(a, factor):
@@ -363,11 +362,10 @@ def backward(tape: Tape, output: Var) -> None:
     The output must be scalar. Repeated calls keep accumulating until the
     stores' ``zero_grad`` is called.
 
-    Adjoints are not copied, so one array may be the adjoint of several
-    nodes (``add`` hands its ``g`` to both inputs). The only in-place update
-    adds an :class:`_Indexed` adjoint (from ``slice_``) into a buffer this
-    sweep allocated, such as the one the ``h`` slices of an lstm state share.
-    Constant inputs (id None) get no adjoint.
+    A node's adjoint is its first contribution, and each later one is added
+    into a new array, never in place: one array may be the adjoint of
+    several nodes (``add`` hands its ``g`` to both inputs). Constant inputs
+    (id None) get no adjoint.
     """
     if output.tape is not tape:
         raise ValueError("output does not belong to this tape")
@@ -378,7 +376,6 @@ def backward(tape: Tape, output: Var) -> None:
 
     adj: list[np.ndarray | None] = [None] * len(nodes)
     adj[output.nid] = np.ones_like(out_node.value)
-    owned: set[int] = set()  # ids whose adjoint buffer this sweep allocated
 
     for nid in range(output.nid, -1, -1):
         g = adj[nid]
@@ -389,19 +386,7 @@ def backward(tape: Tape, output: Var) -> None:
             if iid is None or contrib is None:
                 continue
             prev = adj[iid]
-            if type(contrib) is _Indexed:
-                if prev is None:
-                    prev = np.zeros(nodes[iid].value.shape)
-                elif iid not in owned:
-                    prev = prev.copy()
-                prev[contrib.key] += contrib.g
-                adj[iid] = prev
-                owned.add(iid)
-            elif prev is None:
-                adj[iid] = contrib
-            else:
-                adj[iid] = prev + contrib
-                owned.add(iid)
+            adj[iid] = contrib if prev is None else prev + contrib
 
 
 def finite_diff_gradient(

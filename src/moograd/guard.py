@@ -30,29 +30,23 @@ class GuardDecision:
     learned_delta: float
 
 
-def guard_select(z, cand_fallback, cand_learned, evaluator, f_z=None):
-    """Pick the candidate with the smaller worst-objective increase over f(z).
+def guard_select(f_z, f_fallback, f_learned):
+    """Decide every row from its (P, M) losses at the base point and both candidates.
 
-    Returns ``(decision, z_next, f_chosen)``. ``f_z`` may carry a cached
-    evaluation of the base point; the two candidate evaluations are always
-    fresh. The learned candidate wins only when its increase is strictly
-    smaller, so ties and non-finite losses go to the fallback.
+    Returns ``(learned_wins, fallback_delta, learned_delta)``: a (P,) mask
+    and each candidate's worst-objective increase over ``f_z``. The learned
+    candidate wins only when its increase is strictly smaller, so ties and
+    non-finite losses go to the fallback.
     """
-    if f_z is None:
-        f_z = np.asarray(evaluator(z), dtype=np.float64)
-    f_fb = np.asarray(evaluator(cand_fallback), dtype=np.float64)
-    f_ln = np.asarray(evaluator(cand_learned), dtype=np.float64)
-    fb_delta = float(np.max(f_fb - f_z))
-    ln_delta = float(np.max(f_ln - f_z))
-    if ln_delta < fb_delta:
-        return GuardDecision("learned", fb_delta, ln_delta), cand_learned, f_ln
-    return GuardDecision("fallback", fb_delta, ln_delta), cand_fallback, f_fb
+    fallback_delta = np.max(f_fallback - f_z, axis=-1)
+    learned_delta = np.max(f_learned - f_z, axis=-1)
+    return learned_delta < fallback_delta, fallback_delta, learned_delta
 
 
 def _guarded_loop(problem, xs, k, alpha, rngs, memory, model: Ml2oParams,
                   samples: SampleSchedule | None = None, guard_rngs=None, *,
                   guard_batch: int = 512):
-    """The guarded population step (the ``gml2o`` optimizer), one ``guard_select`` per row.
+    """The guarded population step (the ``gml2o`` optimizer): one ``guard_select`` for all rows.
 
     The gradient stacks are the mean of N_k draws under ``samples``, or the
     exact Jacobians without it; each row's stack is shared by its two
@@ -73,36 +67,33 @@ def _guarded_loop(problem, xs, k, alpha, rngs, memory, model: Ml2oParams,
     learned = xs - alpha * learned_directions(grads, memory, model)
 
     if guard_rngs is not None and hasattr(problem, "eval_batch"):
-        evaluators = [
-            functools.partial(problem.eval_batch, idx=problem.sample_batch_indices(guard_batch, rng))
-            for rng in guard_rngs
-        ]
+        batches = [problem.sample_batch_indices(guard_batch, rng) for rng in guard_rngs]
+
+        def evaluate(points):
+            return np.array([problem.eval_batch(x, idx) for x, idx in zip(points, batches)])
+
         base = None
     else:
-        evaluators = [problem.eval] * len(xs)
-        base = memory.get("guard_losses")
+        evaluate, base = problem.eval_many, memory.get("guard_losses")
+    f_z = evaluate(xs) if base is None else base
     sol = solve_min_norm_many(grads)
-    chosen, losses, decisions = [], [], []
-    for p, evaluator in enumerate(evaluators):
-        if base is None:
-            f_z = np.asarray(evaluator(xs[p]), dtype=np.float64)
-        else:
-            f_z = base[p]
-        decision, z_next, f_chosen = guard_select(
-            xs[p], xs[p] + alpha * sol.descent_direction[p], learned[p], evaluator, f_z=f_z
+    fallback = xs + alpha * sol.descent_direction
+    f_fallback, f_learned = evaluate(fallback), evaluate(learned)
+    wins, fallback_delta, learned_delta = guard_select(f_z, f_fallback, f_learned)
+    losses = np.where(wins[:, None], f_learned, f_fallback)
+    chosen_delta = np.max(losses - f_z, axis=1)
+    if not np.all(chosen_delta <= fallback_delta):
+        raise AssertionError(
+            f"guard invariant violated at k={k}: {chosen_delta} > {fallback_delta}"
         )
-        chosen_delta = float(np.max(f_chosen - f_z))
-        if not chosen_delta <= decision.fallback_delta:
-            raise AssertionError(
-                f"guard invariant violated at k={k}: "
-                f"{chosen_delta} > {decision.fallback_delta}"
-            )
-        chosen.append(z_next)
-        losses.append(f_chosen)
-        decisions.append(decision)
+    decisions = [
+        GuardDecision("learned" if win else "fallback", fb, ln)
+        for win, fb, ln in zip(wins.tolist(), fallback_delta.tolist(), learned_delta.tolist())
+    ]
     memory["guard_losses"] = losses
+    chosen = np.where(wins[:, None], learned, fallback)
     evals = 2 if base is not None else 3
-    return np.array(chosen), row_norms(sol.combined), n, sol.converged, losses, decisions, evals
+    return chosen, row_norms(sol.combined), n, sol.converged, losses, decisions, evals
 
 
 def gml2o_det_step(problem, xs, k, alpha, rngs, memory, model: Ml2oParams):

@@ -113,14 +113,14 @@ def dssmg_step(problem, xs, k, alpha, rngs, memory, samples: SampleSchedule):
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
+    """Euclidean projection of each row of a (..., M) stack onto the simplex (sort-based)."""
     v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    cond = u - css / ks > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    m = v.shape[-1]
+    cond = u - css / np.arange(1, m + 1) > 0
+    rho = m - 1 - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)  # last index where cond holds
+    theta = np.take_along_axis(css, rho, axis=-1) / (rho + 1)
     return np.maximum(v - theta, 0.0)
 
 
@@ -136,7 +136,7 @@ def moco_like_step(problem, xs, k, alpha, rngs, memory, *, beta: float = 0.5,
     y = np.clip(beta * g + (1.0 - beta) * y, -track_bound, track_bound)
     gram = y @ y.transpose(0, 2, 1)
     lam = lam - gamma * ((gram + rho * np.eye(m)) @ lam[:, :, None])[:, :, 0]
-    lam = np.stack([project_simplex(row) for row in lam])
+    lam = project_simplex(lam)
     memory["y"], memory["lam"] = y, lam
     return descend(xs, alpha, (y.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0])
 

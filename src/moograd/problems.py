@@ -91,12 +91,11 @@ class QuadraticPair(MooProblem):
         if c1.shape != c2.shape:
             raise ValueError("centers must share a dimension")
         n = c1.size
-        self.centers = (c1, c2)
-        self.mats = (
-            np.eye(n) if a1 is None else as_tensor(a1, "a1"),
-            np.eye(n) if a2 is None else as_tensor(a2, "a2"),
-        )
-        self._identity = a1 is None and a2 is None
+        self.centers = np.stack([c1, c2])
+        # (2, N, N) curvature stack, or None for A_1 = A_2 = I
+        self.mats = None if a1 is None and a2 is None else np.stack([
+            np.eye(n) if a is None else as_tensor(a, name) for a, name in ((a1, "a1"), (a2, "a2"))
+        ])
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         self.noise_sigma = float(noise_sigma)
@@ -106,42 +105,30 @@ class QuadraticPair(MooProblem):
             lb, ub = domain
             self.domain = (np.full(n, float(lb)), np.full(n, float(ub)))
 
+    # The per-point oracles are the one-row case of the stacked ones, so a
+    # point's values never depend on which of them computed it. Each stays
+    # defined on this class, where the benchmark's span tracer looks them up,
+    # and ``sample_gradient`` skips ``averaged_gradient``, where the tracer
+    # counts draws.
     def eval(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.empty(2)
-        for i, (c, a) in enumerate(zip(self.centers, self.mats)):
-            d = x - c
-            out[i] = 0.5 * d @ (a @ d)
-        return out
+        return self.eval_many(np.asarray(x, dtype=np.float64)[None])[0]
 
     def full_jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.stack([a @ (x - c) for c, a in zip(self.centers, self.mats)])
+        return self.jacobian_many(np.asarray(x, dtype=np.float64)[None])[0]
 
     def sample_gradient(self, x, rng: np.random.Generator) -> np.ndarray:
-        jac = self.full_jacobian(x)
-        if self.noise_sigma == 0.0:
-            return jac
-        return jac + self.noise_sigma * rng.standard_normal(jac.shape)
+        return self.averaged_gradient_many(np.asarray(x, dtype=np.float64)[None], 1, [rng])[0]
 
     def averaged_gradient(self, x, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        jac = self.full_jacobian(x)
-        if self.noise_sigma == 0.0:
-            return jac
-        noise = rng.standard_normal((n,) + jac.shape)
-        return jac + self.noise_sigma * noise.mean(axis=0)
+        return self.averaged_gradient_many(np.asarray(x, dtype=np.float64)[None], n, [rng])[0]
 
-    # The batched oracles apply A_i to each row with its own matrix-vector
-    # product and take each dot product as a stacked matmul: the BLAS calls
-    # of the per-point methods, so every row matches them bit for bit.
+    def _slopes(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets x - c_i (P, 2, N) and the columns A_i (x - c_i) (P, 2, N, 1)."""
+        d = np.asarray(xs, dtype=np.float64)[:, None, :] - self.centers
+        return d, d[..., None] if self.mats is None else self.mats @ d[..., None]
+
     def jacobian_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        return np.stack(
-            [np.matmul(a, (xs - c)[:, :, None])[:, :, 0] for c, a in zip(self.centers, self.mats)],
-            axis=1,
-        )
+        return self._slopes(xs)[1][..., 0]
 
     def averaged_gradient_many(self, xs, n: int, rngs) -> np.ndarray:
         if n < 1:
@@ -157,23 +144,19 @@ class QuadraticPair(MooProblem):
         return jac + self.noise_sigma * noise.mean(axis=1)
 
     def eval_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        out = np.empty((len(xs), 2))
-        for i, (c, a) in enumerate(zip(self.centers, self.mats)):
-            d = xs - c
-            out[:, i] = ((0.5 * d)[:, None, :] @ np.matmul(a, d[:, :, None]))[:, 0, 0]
-        return out
+        d, q = self._slopes(xs)
+        return ((0.5 * d)[..., None, :] @ q)[..., 0, 0]
 
     def eval_terms(self, x_col) -> list:
         losses = []
-        for c, a in zip(self.centers, self.mats):
+        for c, a in zip(self.centers, [None, None] if self.mats is None else self.mats):
             d = ad.sub(x_col, c.reshape(-1, 1))
-            q = d if self._identity else ad.matmul(a, d)
+            q = d if a is None else ad.matmul(a, d)
             losses.append(ad.scale(ad.sum_(ad.mul(d, q)), 0.5))
         return losses
 
     def distance_to_front(self, x) -> float:
-        if not self._identity:
+        if self.mats is not None:
             raise UnsupportedCapability("Pareto set is known only for identity curvature")
         return point_segment_distance(np.asarray(x, dtype=np.float64), *self.centers)
 

@@ -36,10 +36,6 @@ class RunRecord:
     meta: dict = field(default_factory=dict)
 
     @property
-    def final_x(self) -> np.ndarray:
-        return self.iterates[-1]
-
-    @property
     def final_losses(self) -> np.ndarray:
         return self.rows[-1].losses
 

@@ -19,27 +19,35 @@ from moograd.problems import make_quadratic_pair, make_toy_mtl
 
 
 def test_guard_select_learned_wins():
-    f = {(0.0,): np.array([1.0, 1.0]), (1.0,): np.array([0.7, 0.9]), (2.0,): np.array([0.5, 0.6])}
-    evaluator = lambda x: f[tuple(x)]
-    decision, z_next, _ = guard_select(np.array([0.0]), np.array([1.0]), np.array([2.0]), evaluator)
-    assert decision.chosen == "learned"
-    assert decision.fallback_delta == pytest.approx(-0.1)
-    assert decision.learned_delta == pytest.approx(-0.4)
-    assert z_next[0] == 2.0
+    wins, fb_delta, ln_delta = guard_select(
+        np.array([[1.0, 1.0]]), np.array([[0.7, 0.9]]), np.array([[0.5, 0.6]])
+    )
+    assert wins.tolist() == [True]
+    assert fb_delta[0] == pytest.approx(-0.1)
+    assert ln_delta[0] == pytest.approx(-0.4)
 
 
 def test_guard_select_tie_goes_to_fallback():
-    evaluator = lambda x: np.array([float(x[0]), 0.0])
-    decision, z_next, _ = guard_select(np.array([1.0]), np.array([0.5]), np.array([0.5]), evaluator)
-    assert decision.chosen == "fallback"
+    wins, _, _ = guard_select(np.array([[1.0, 0.0]]), np.array([[0.5, 0.0]]), np.array([[0.5, 0.0]]))
+    assert wins.tolist() == [False]
 
 
 def test_guard_select_fallback_when_learned_regresses():
-    f = {(0.0,): np.array([1.0, 1.0]), (1.0,): np.array([0.9, 0.9]), (2.0,): np.array([1.4, 0.2])}
-    evaluator = lambda x: f[tuple(x)]
-    decision, z_next, _ = guard_select(np.array([0.0]), np.array([1.0]), np.array([2.0]), evaluator)
-    assert decision.chosen == "fallback"
-    assert z_next[0] == 1.0
+    wins, _, _ = guard_select(np.array([[1.0, 1.0]]), np.array([[0.9, 0.9]]), np.array([[1.4, 0.2]]))
+    assert wins.tolist() == [False]
+
+
+def test_guard_select_decides_each_row_alone():
+    # rows: learned wins, tie, learned loss NaN, fallback loss NaN
+    f_z = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    f_fb = np.array([[0.7, 0.9], [0.5, 0.0], [0.9, 0.9], [np.nan, 0.9]])
+    f_ln = np.array([[0.5, 0.6], [0.5, 0.0], [np.nan, 0.2], [0.5, 0.6]])
+    wins, fb_delta, ln_delta = guard_select(f_z, f_fb, f_ln)
+    assert wins.tolist() == [True, False, False, False]
+    for p in range(4):
+        one = guard_select(f_z[p : p + 1], f_fb[p : p + 1], f_ln[p : p + 1])
+        assert np.array_equal(np.array([wins[p], fb_delta[p], ln_delta[p]]),
+                              np.concatenate(one), equal_nan=True)
 
 
 @pytest.fixture

@@ -191,31 +191,6 @@ def test_meta_loss_monotone_in_curr():
         assert meta_loss(bumped, prev) >= meta_loss(cur, prev)
 
 
-def test_bptt_matches_finite_differences_tiny():
-    failures = 0
-    for seed in range(20):
-        params = init_params(2, 3, seed=seed)
-        prob = make_quadratic_pair(2, seed=seed + 1000)
-        x0 = prob.initial_point(np.random.default_rng(seed + 2000)).reshape(-1, 1)
-        draw = lambda j, xv: prob.full_jacobian(xv)
-        store = store_from_params(params)
-        tape = ad.Tape()
-        leafs = {n: tape.param(store, n) for n in store.names()}
-        mean, _, _ = unroll_window(prob, x0, init_state(2, 3, 2), leafs, 4, 0.1, draw)
-        ad.backward(tape, mean)
-        g_ad = np.concatenate([store.grads[n].ravel() for n in sorted(store.names())])
-
-        def f(s):
-            m, _, _ = unroll_window(prob, x0, init_state(2, 3, 2), s.params, 4, 0.1, draw)
-            return float(m)
-
-        g_fd_map = ad.finite_diff_gradient(f, store, eps=1e-5)
-        g_fd = np.concatenate([g_fd_map[n].ravel() for n in sorted(g_fd_map)])
-        rel = np.linalg.norm(g_ad - g_fd) / max(np.linalg.norm(g_fd), 1e-300)
-        failures += rel >= 1e-4
-    assert failures == 0
-
-
 def test_preprocess_stack_equals_rows():
     y = np.random.default_rng(1).normal(size=(3, 6)) * np.logspace(-8, 1, 6)
     enc = preprocess_gradient(y)

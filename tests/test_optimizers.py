@@ -157,6 +157,14 @@ def test_project_simplex():
     )
     best = grid[np.argmin(((grid - v) ** 2).sum(axis=1))]
     assert np.linalg.norm(p - best) < 2e-2
+    # a stack projects each row on its own, bit for bit like the one-row formula
+    stack = np.random.default_rng(0).normal(size=(2, 5, 4))
+    stack[0, 0] = [0.6, 0.6, 0.6, 0.6]
+    for row, got in zip(stack.reshape(-1, 4), project_simplex(stack).reshape(-1, 4)):
+        u = np.sort(row)[::-1]
+        css = np.cumsum(u) - 1.0
+        rho = np.nonzero(u - css / np.arange(1, 5) > 0)[0][-1]
+        assert np.array_equal(got, np.maximum(row - css[rho] / (rho + 1), 0.0))
 
 
 def test_moco_step_behaviour(noisy_pair):
@@ -254,7 +262,7 @@ def test_run_steps_trace_and_determinism():
     a.validate()
     for ra, rb in zip(a.rows, b.rows):
         assert np.array_equal(ra.losses, rb.losses)
-    assert np.array_equal(a.final_x, b.final_x)
+    assert np.array_equal(a.meta["final_x"], b.meta["final_x"])
     assert a.meta["eval_count"] == 30
 
 

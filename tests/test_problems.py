@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,3 +243,34 @@ def test_batched_oracles_match_per_point_bitwise(case):
         assert [r.random() for r in batch_rngs] == [r.random() for r in point_rngs]
     with pytest.raises(ValueError):
         prob.averaged_gradient_many(xs, 2, batch_rngs[:3])
+
+
+@pytest.mark.parametrize("case", ["quadratic_identity", "quadratic_curved"])
+def test_quadratic_oracles_match_loop_formula_bitwise(case):
+    """The stacked quadratic oracles equal the per-objective formula, bit for bit."""
+    rng = np.random.default_rng(13)
+    prob = BATCHED[case](rng)
+    mats = [np.eye(prob.dim)] * 2 if prob.mats is None else prob.mats
+    xs = rng.normal(size=(9, prob.dim))
+    jac, losses = prob.jacobian_many(xs), prob.eval_many(xs)
+    for p, x in enumerate(xs):
+        for i, (c, a) in enumerate(zip(prob.centers, mats)):
+            assert np.array_equal(jac[p, i], a @ (x - c))
+            assert losses[p, i] == 0.5 * (x - c) @ (a @ (x - c))
+
+
+def test_perfbench_tracer_wraps_and_restores_quadratic_oracles():
+    """perfbench traces ``vars(QuadraticPair)[name]``: the oracles must stay defined there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans_under_test", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    original = vars(QuadraticPair)["eval"]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        make_quadratic_pair(3, seed=0).eval(np.zeros(3))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("problems.eval") == 1
+    assert vars(QuadraticPair)["eval"] is original
