@@ -1,20 +1,30 @@
 """Dense float64 array math with a minimal reverse-mode tape.
 
 All tensors are row-major ``numpy.float64`` arrays. The primitive set is
-fixed to what the recurrent optimizer and its training loss need: add, sub,
-mul (Hadamard), matmul, concat, slice, scale, sum, max-over-list and one
-fused LSTM cell, plus ``stack``. Every primitive accepts either plain arrays
-(untaped, fast path) or :class:`Var` handles bound to a :class:`Tape`. Plain
-arrays among taped operands are constants: they get no node, and
-:func:`backward` skips them.
+fixed to what the recurrent optimizer and its training loss need:
+
+- add, sub, scale, concat, slice and stack;
+- one fused LSTM cell, :func:`lstm`;
+- the shared cell's input, :func:`concat_h`, and the head, :func:`affine`;
+- the training loss: :func:`quadratic_losses`, :func:`max_increase` (the
+  worst per-objective increase) and :func:`mean` (the window mean).
+
+Each node of the last two items runs exactly the float operations, in the
+same order, of the chain of elementwise products, matrix products and sums
+it replaces, so its value and adjoints are those of the chain bit for bit.
+Every primitive accepts either plain arrays (untaped, fast path) or
+:class:`Var` handles bound to a :class:`Tape`. Plain arrays among taped
+operands are constants: they get no node, and :func:`backward` skips them.
 
 Each primitive is one function: it computes its value and, on a tape,
 records a node holding its input ids and a closure that maps the output
 adjoint to one adjoint per input. :func:`backward` sweeps the tape in
-reverse and knows no primitive.
+reverse and knows no primitive. No closure holds a :class:`Var`: that would
+make a cycle (tape, node, closure, Var, tape), and every dropped tape would
+then wait for the cycle collector.
 
 Elementwise ops require equal shapes, with one deliberate exception: a
-``(1, H)`` row may be added to / multiplied with an ``(N, H)`` matrix (bias
+``(1, H)`` row may be added to or subtracted from an ``(N, H)`` matrix (bias
 rows). Anything broader is rejected.
 """
 
@@ -165,18 +175,13 @@ def sub(a, b):
                    lambda g: (_unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)))
 
 
-def mul(a, b):
-    x, y = value(a), value(b)
-    _check_elementwise(x, y, "mul")
-    return _record((a, b), x * y,
-                   lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
-
-
-def matmul(a, b):
-    x, y = value(a), value(b)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}")
-    return _record((a, b), x @ y, lambda g: (g @ y.T, x.T @ g))
+def affine(x, w, b):
+    """``x w + b`` for an (N, K) ``x``, a (K, out) ``w`` and a (1, out) bias row."""
+    xv, wv, bv = value(x), value(w), value(b)
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != (1, wv.shape[1]):
+        raise ShapeError(f"affine: incompatible shapes {xv.shape}, {wv.shape} and {bv.shape}")
+    return _record((x, w, b), xv @ wv + bv,
+                   lambda g: (g @ wv.T, xv.T @ g, _unbroadcast(g, bv.shape)))
 
 
 def concat(parts, axis=0):
@@ -212,24 +217,78 @@ def scale(a, factor):
     return _record((a,), value(a) * factor, lambda g: (g * factor,))
 
 
-def sum_(a):
-    x = value(a)
-    return _record((a,), np.asarray(x.sum()),
-                   lambda g: (np.full(x.shape, g),))
+def concat_h(hc):
+    """The h half of a (2, M, N, H) state with its M slices side by side, (N, M * H)."""
+    x = value(hc)
+    _, m, n, hid = shape = x.shape
+
+    def backward(g):
+        dhc = np.zeros(shape)
+        dhc[0] = g.reshape(n, m, hid).swapaxes(0, 1)
+        return (dhc,)
+
+    return _record((hc,), np.concatenate(x[0], axis=1), backward)
 
 
-def maxlist(parts):
-    """The largest of scalar ``parts``; its adjoint goes to the first maximum only."""
+def quadratic_losses(x, centers, mats=None):
+    """``f_i = 0.5 (x - c_i)' A_i (x - c_i)`` for each row ``c_i`` of ``centers``, as (M,).
+
+    ``x`` is an (N, 1) column, ``centers`` (M, N) and ``mats`` the (M, N, N)
+    stack of the A_i, or None for A_i = I. The node lists ``x`` once per
+    objective, the last objective first, so that the backward sweep adds the
+    objectives' adjoints into x's in the order a chain of one node per
+    operation would. An objective whose adjoint is zero contributes nothing.
+    """
+    xv = value(x)
+    if xv.shape != (centers.shape[1], 1):
+        raise ShapeError(
+            f"quadratic_losses: x {xv.shape} is not an ({centers.shape[1]}, 1) column"
+        )
+    ds = [xv - c.reshape(-1, 1) for c in centers]
+    qs = ds if mats is None else [a @ d for a, d in zip(mats, ds)]
+    out = np.array([(d * q).sum() * 0.5 for d, q in zip(ds, qs)])
+
+    def backward(g):
+        dx = []
+        for i in reversed(range(len(ds))):
+            if g[i] == 0.0:
+                dx.append(None)
+                continue
+            t = np.full(xv.shape, g[i] * 0.5)
+            dq = t * ds[i]
+            dx.append(t * qs[i] + (dq if mats is None else mats[i].T @ dq))
+        return dx
+
+    return _record((x,) * len(ds), out, backward)
+
+
+def max_increase(curr, prev):
+    """``max_i(curr_i - prev_i)`` of two (M,) vectors; its adjoint goes to the lowest-index maximum."""
+    c, p = value(curr), value(prev)
+    if c.ndim != 1 or c.shape != p.shape:
+        raise ShapeError(f"max_increase: incompatible shapes {c.shape} and {p.shape}")
+    diff = c - p
+    arg, m = int(np.argmax(diff)), c.size
+
+    def backward(g):
+        dc, dp = np.zeros(m), np.zeros(m)
+        dc[arg], dp[arg] = g, -g
+        return dc, dp
+
+    return _record((curr, prev), np.asarray(diff[arg]), backward)
+
+
+def mean(parts):
+    """The mean of scalar ``parts``: their sum from left to right, times ``1 / len(parts)``."""
     parts = tuple(parts)
     vals = [value(p) for p in parts]
-    for v in vals:
-        if v.size != 1:
-            raise ShapeError("maxlist expects scalar inputs")
-    flat = np.array([float(v) for v in vals])
-    arg = int(np.argmax(flat))  # lowest index on ties
-    shape, n = vals[arg].shape, len(vals)
-    return _record(parts, np.asarray(flat[arg]),
-                   lambda g: [g.reshape(shape) if i == arg else None for i in range(n)])
+    if any(v.ndim != 0 for v in vals):
+        raise ShapeError("mean expects scalar inputs")
+    n, factor = len(vals), 1.0 / len(vals)
+    total = vals[0]
+    for v in vals[1:]:
+        total = total + v
+    return _record(parts, np.asarray(total * factor), lambda g: [g * factor] * n)
 
 
 def stack(parts):
@@ -238,13 +297,15 @@ def stack(parts):
     return _record(parts, np.stack([value(p) for p in parts]), tuple)
 
 
-# A stacked cell runs slice by slice once one slice's gate block (N x 4H) has
-# this many entries (128 KiB, glibc's default mmap threshold). Whole stacked
-# blocks that large made malloc give the freed heap top back to the system
-# after each call and fault it in again on the next: at N = 1870, H = 20,
-# M = 2, about 1100 page faults and 40 % more time per ml2o_direction. Smaller
-# stacks, such as meta-training's N = 8, H = 8 cells, run as one call.
-_SLICE_GATE_ENTRIES = 2**14
+# A cell whose gate block (N x 4H, per stacked slice) has more entries than
+# this (128 KiB, glibc's default mmap threshold) runs slice by slice in tiles
+# of _TILE_GATE_ENTRIES // 4H rows, and an untaped run reuses one tile-sized
+# gate buffer and one tanh(c') buffer for every tile. Whole blocks that large
+# made malloc give the freed heap top back to the system after each call and
+# fault it in again on the next, and kept the largest block's temporaries
+# resident. Smaller cells, such as meta-training's stacked N = 8, H = 8 ones,
+# run as one call over all their slices.
+_TILE_GATE_ENTRIES = 2**14
 
 
 def lstm(s, hc, wx, wh, b):
@@ -269,13 +330,10 @@ def lstm(s, hc, wx, wh, b):
 def _lstm_forward(s, hc, wx, wh, b, keep):
     """``(hc', gates, tanh(c'))``, the last two for the backward.
 
-    A slice-by-slice run keeps them only when ``keep``; an untaped run frees
-    each slice's buffers as it goes. Buffers are allocated in the order one
-    cell needs them (gates, hc', tanh(c')): at N = 1870 the heap then reuses
-    its pages across calls, where allocating all three up front made it
-    fault in about 1100 more pages per ``ml2o_direction`` call.
+    A tiled run keeps them only when ``keep``; an untaped one returns None
+    for both. Row tiles of one cell equal, bit for bit, the cell run whole.
     """
-    lead, hid = s.shape[:-2], hc.shape[-1]
+    lead, (n, hid) = s.shape[:-2], hc.shape[-2:]
     shapes_ok = (
         s.ndim >= 2 and hc.shape == (2,) + s.shape[:-1] + (hid,)
         and wx.shape == lead + (s.shape[-1], 4 * hid)
@@ -287,16 +345,21 @@ def _lstm_forward(s, hc, wx, wh, b, keep):
             f"lstm: incompatible shapes s {s.shape}, hc {hc.shape}, "
             f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
         )
-    if not (lead and s.shape[-2] * 4 * hid >= _SLICE_GATE_ENTRIES):
+    if n * 4 * hid <= _TILE_GATE_ENTRIES:
         return _lstm_cell(s, hc, wx, wh, b)
+    rows = _TILE_GATE_ENTRIES // (4 * hid)
     out = np.empty(hc.shape)
-    gates = tc = None
     if keep:
         gates, tc = np.empty(s.shape[:-1] + (4 * hid,)), np.empty(s.shape[:-1] + (hid,))
+    else:
+        gates = tc = None
+        gate_buf, tc_buf = np.empty((rows, 4 * hid)), np.empty((rows, hid))
     for i in np.ndindex(lead):
-        both = (slice(None),) + i
-        kept = (gates[i], tc[i]) if keep else ()
-        _lstm_cell(s[i], hc[both], wx[i], wh[i], b[i], out[both], *kept)
+        for lo in range(0, n, rows):
+            tile = i + (slice(lo, lo + rows),)
+            both = (slice(None),) + tile
+            kept = (gates[tile], tc[tile]) if keep else (gate_buf[: n - lo], tc_buf[: n - lo])
+            _lstm_cell(s[tile], hc[both], wx[i], wh[i], b[i], out[both], *kept)
     return out, gates, tc
 
 

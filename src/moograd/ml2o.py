@@ -153,9 +153,8 @@ def _direction_core(y_rows: np.ndarray, state: Ml2oState, fused) -> tuple:
     """Shared forward pass; returns ((N,1) update column, new state)."""
     specific, shared, head_w, head_b = fused
     spec = ad.lstm(preprocess_gradient(y_rows), state.spec, *specific)
-    s_sh = ad.concat([ad.slice_(spec, (0, i)) for i in range(len(y_rows))], axis=1)
-    sh = ad.lstm(s_sh, state.shared, *shared)
-    g_col = ad.add(ad.matmul(ad.slice_(sh, 0), head_w), head_b)
+    sh = ad.lstm(ad.concat_h(spec), state.shared, *shared)
+    g_col = ad.affine(ad.slice_(sh, 0), head_w, head_b)
     return g_col, Ml2oState(spec, sh)
 
 
@@ -205,11 +204,10 @@ def learned_step(problem, xs, k, alpha, rngs, memory, model: Ml2oParams, samples
 def meta_loss(f_curr, f_prev):
     """Worst per-objective increase max_i(f_curr_i - f_prev_i).
 
-    Accepts arrays or sequences of scalars/Vars; returns a float for plain
-    inputs or a Var when any input is taped.
+    Takes two (M,) loss vectors, arrays or Vars; returns a float for plain
+    inputs or a Var when either input is taped.
     """
-    terms = [ad.sub(c, p) for c, p in zip(list(f_curr), list(f_prev), strict=True)]
-    out = ad.maxlist(terms)
+    out = ad.max_increase(f_curr, f_prev)
     return out if isinstance(out, Var) else float(out)
 
 
@@ -235,11 +233,7 @@ def unroll_window(problem, x_col, state: Ml2oState, arrays, window: int,
         f_curr = problem.eval_terms(x)
         losses.append(meta_loss(f_curr, f_prev))
         f_prev = f_curr
-    total = losses[0]
-    for term in losses[1:]:
-        total = ad.add(total, term)
-    mean = ad.scale(total, 1.0 / window)
-    return mean, x, state
+    return ad.mean(losses), x, state
 
 
 def _draw_fn(problem, draw_mode: str, rng: np.random.Generator):

@@ -66,8 +66,8 @@ class MooProblem:
         lb, ub = self.domain
         return rng.uniform(lb, ub)
 
-    def eval_terms(self, x_col) -> list:
-        """Per-objective scalar losses built from tape primitives.
+    def eval_terms(self, x_col):
+        """The (M,) losses at ``x_col`` as one tape node.
 
         ``x_col`` is an (N, 1) column, either a plain array or a tape Var;
         the result mirrors the input kind. Only problems whose losses are
@@ -147,13 +147,8 @@ class QuadraticPair(MooProblem):
         d, q = self._slopes(xs)
         return ((0.5 * d)[..., None, :] @ q)[..., 0, 0]
 
-    def eval_terms(self, x_col) -> list:
-        losses = []
-        for c, a in zip(self.centers, [None, None] if self.mats is None else self.mats):
-            d = ad.sub(x_col, c.reshape(-1, 1))
-            q = d if a is None else ad.matmul(a, d)
-            losses.append(ad.scale(ad.sum_(ad.mul(d, q)), 0.5))
-        return losses
+    def eval_terms(self, x_col):
+        return ad.quadratic_losses(x_col, self.centers, self.mats)
 
     def distance_to_front(self, x) -> float:
         if self.mats is not None:

@@ -14,14 +14,52 @@ def scalar_store(**values):
     return store
 
 
+def weighted_sum(a, r=1.0):
+    """``sum(r * a)`` as a test-only primitive, recorded the way autodiff's own are."""
+    x = ad.value(a)
+    return ad._record((a,), np.asarray((x * r).sum()), lambda g: (np.full(x.shape, g) * r,))
+
+
+def half_square(x):
+    """``0.5 * sum(x * x)`` of an (N, 1) column, through the loss nodes."""
+    return ad.max_increase(ad.quadratic_losses(x, np.zeros((1, ad.value(x).shape[0]))),
+                           np.zeros(1))
+
+
+def check_fd(store, build, eps=1e-6, tol=1e-7):
+    """Taped gradient of ``build(store)`` against central differences, every parameter nonzero."""
+    tape, out = build(store)
+    store.zero_grad()
+    ad.backward(tape, out)
+    g_fd = ad.finite_diff_gradient(lambda st: float(build(st)[1].value), store, eps=eps)
+    for k in store.names():
+        assert np.any(store.grads[k] != 0.0), k
+        err = np.linalg.norm(store.grads[k] - g_fd[k]) / np.linalg.norm(g_fd[k])
+        assert err < tol, f"{k}: rel err {err}"
+
+
 def test_primitive_trivia():
     v = np.array([[1.0], [2.0], [3.0]])
-    assert np.array_equal(ad.matmul(np.eye(3), v), v)
+    assert np.array_equal(ad.affine(np.eye(3), v, np.zeros((1, 1))), v)
+    assert np.array_equal(ad.quadratic_losses(v, np.zeros((2, 3)), np.stack([np.eye(3), 2 * np.eye(3)])),
+                          [7.0, 14.0])
+    assert ad.max_increase(np.array([1.0, 5.0, 2.0]), np.array([0.0, 4.5, 0.5])) == 1.5
+    assert ad.mean([1.0, 2.0, 6.0]) == 3.0
+    hc = np.arange(24.0).reshape(2, 2, 2, 3)
+    assert np.array_equal(ad.concat_h(hc), np.concatenate([hc[0, 0], hc[0, 1]], axis=1))
 
 
 def test_shape_errors_name_the_kind():
-    with pytest.raises(ad.ShapeError, match="matmul"):
-        ad.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ad.ShapeError, match="affine"):
+        ad.affine(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
+    with pytest.raises(ad.ShapeError, match="affine"):
+        ad.affine(np.zeros((2, 3)), np.zeros((3, 1)), np.zeros((2, 1)))
+    with pytest.raises(ad.ShapeError, match="quadratic_losses"):
+        ad.quadratic_losses(np.zeros((3,)), np.zeros((2, 3)))
+    with pytest.raises(ad.ShapeError, match="max_increase"):
+        ad.max_increase(np.zeros(2), np.zeros(3))
+    with pytest.raises(ad.ShapeError, match="mean"):
+        ad.mean([np.zeros(2), 1.0])
     with pytest.raises(ad.ShapeError, match="add"):
         ad.add(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ad.ShapeError, match="lstm"):
@@ -36,25 +74,34 @@ def test_square_gradient():
     store = scalar_store(x=[[3.0]])
     tape = ad.Tape()
     x = tape.param(store, "x")
-    y = ad.sum_(ad.mul(x, x))
+    y = half_square(x)
+    assert y.value == 4.5
     ad.backward(tape, y)
-    assert store.grads["x"][0, 0] == pytest.approx(6.0, abs=1e-12)
+    assert store.grads["x"][0, 0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_identity_matmul_sum_gradient():
-    store = scalar_store(v=np.arange(3.0).reshape(3, 1))
-    tape = ad.Tape()
-    v = tape.param(store, "v")
-    y = ad.sum_(ad.matmul(np.eye(3), v))
-    ad.backward(tape, y)
-    assert np.allclose(store.grads["v"], np.ones((3, 1)))
+    """Curvature matrices equal to the identity give the identity losses and gradient, bit for bit."""
+    rng = np.random.default_rng(2)
+    store = scalar_store(v=rng.normal(size=(3, 1)))
+    centers, r = rng.normal(size=(2, 3)), rng.normal(size=2)
+    grads = []
+    for mats in (None, np.stack([np.eye(3), np.eye(3)])):
+        tape = ad.Tape()
+        f = ad.quadratic_losses(tape.param(store, "v"), centers, mats)
+        store.zero_grad()
+        ad.backward(tape, weighted_sum(f, r))
+        grads.append((f.value, store.grads["v"].copy()))
+    assert np.array_equal(grads[0][0], grads[1][0])
+    assert np.array_equal(grads[0][1], grads[1][1])
+    assert np.allclose(grads[0][1], ((store.params["v"].T - centers).T * r).sum(axis=1, keepdims=True))
 
 
 def test_backward_requires_scalar():
     store = scalar_store(v=np.ones((2, 1)))
     tape = ad.Tape()
     v = tape.param(store, "v")
-    y = ad.mul(v, v)
+    y = ad.quadratic_losses(v, np.zeros((2, 2)))
     with pytest.raises(ad.ShapeError, match="scalar"):
         ad.backward(tape, y)
 
@@ -63,17 +110,18 @@ def test_backward_accumulates_until_reset():
     store = scalar_store(x=[[2.0]])
     tape = ad.Tape()
     x = tape.param(store, "x")
-    y = ad.sum_(ad.mul(x, x))
+    y = half_square(x)
     ad.backward(tape, y)
     ad.backward(tape, y)
-    assert store.grads["x"][0, 0] == pytest.approx(8.0)
+    assert store.grads["x"][0, 0] == pytest.approx(4.0)
     store.zero_grad()
     assert store.grads["x"][0, 0] == 0.0
 
 
 def test_backward_linearity():
     rng = np.random.default_rng(0)
-    store = scalar_store(a=rng.normal(size=(3, 2)), b=rng.normal(size=(3, 2)))
+    store = scalar_store(a=rng.normal(size=(3, 1)), b=rng.normal(size=(3, 1)))
+    centers, mats = rng.normal(size=(2, 3)), rng.normal(size=(2, 3, 3))
 
     def grads_of(build):
         tape = ad.Tape()
@@ -82,23 +130,22 @@ def test_backward_linearity():
         ad.backward(tape, build(a, b))
         return {k: v.copy() for k, v in store.grads.items()}
 
-    f = lambda a, b: ad.sum_(ad.mul(a, a))
-    g = lambda a, b: ad.sum_(ad.mul(ad.mul(a, b), b))
+    f = lambda a, b: half_square(a)
+    g = lambda a, b: ad.max_increase(ad.quadratic_losses(ad.sub(a, b), centers, mats), np.zeros(2))
     both = grads_of(lambda a, b: ad.add(f(a, b), g(a, b)))
     gf, gg = grads_of(f), grads_of(g)
     for k in both:
         assert np.allclose(both[k], gf[k] + gg[k], atol=1e-14)
 
 
-def test_maxlist_lowest_index_tie():
-    store = scalar_store(a=[[1.0]], b=[[1.0]])
+def test_max_increase_lowest_index_tie():
+    store = scalar_store(curr=[1.0, 3.0, 3.0], prev=[0.0, 2.0, 2.0])
     tape = ad.Tape()
-    a, b = tape.param(store, "a"), tape.param(store, "b")
-    out = ad.maxlist([ad.sum_(a), ad.sum_(b)])
+    out = ad.max_increase(tape.param(store, "curr"), tape.param(store, "prev"))
     assert float(out.value) == 1.0
     ad.backward(tape, out)
-    assert store.grads["a"][0, 0] == 1.0
-    assert store.grads["b"][0, 0] == 0.0
+    assert np.array_equal(store.grads["curr"], [1.0, 0.0, 0.0])
+    assert np.array_equal(store.grads["prev"], [-1.0, 0.0, 0.0])
 
 
 def test_concat_slice_roundtrip_gradient():
@@ -107,26 +154,24 @@ def test_concat_slice_roundtrip_gradient():
     a, b = tape.param(store, "a"), tape.param(store, "b")
     joined = ad.concat([a, b], axis=1)
     piece = ad.slice_(joined, (slice(None), slice(1, 4)))
-    ad.backward(tape, ad.sum_(piece))
+    ad.backward(tape, weighted_sum(piece))
     assert np.array_equal(store.grads["a"], [[0, 1], [0, 1]])
     assert np.array_equal(store.grads["b"], [[1, 1, 0], [1, 1, 0]])
 
 
 def test_shared_adjoints_and_two_slices_match_fd():
     rng = np.random.default_rng(5)
-    store = scalar_store(v=rng.normal(size=(3, 4)), w=rng.normal(size=(3, 4)))
+    store = scalar_store(v=rng.normal(size=(4, 1)), w=rng.normal(size=(4, 1)))
 
     def build(st):
         tape = ad.Tape()
         v, w = tape.param(st, "v"), tape.param(st, "w")
         u = ad.add(v, v)  # one adjoint reaches both inputs
-        left = ad.slice_(u, (slice(None), slice(0, 3)))
-        right = ad.slice_(u, (slice(None), slice(1, 4)))
+        left = ad.slice_(u, (slice(0, 3), slice(None)))
+        right = ad.slice_(u, (slice(1, 4), slice(None)))
         # d's adjoint reaches u and w as one array before the slices add into u's
         d = ad.add(u, w)
-        terms = [ad.sum_(ad.mul(left, left)), ad.sum_(ad.mul(right, right)),
-                 ad.sum_(ad.mul(d, d))]
-        return tape, ad.add(ad.add(terms[0], terms[1]), terms[2])
+        return tape, ad.mean([half_square(left), half_square(right), half_square(d)])
 
     tape, out = build(store)
     ad.backward(tape, out)
@@ -146,12 +191,13 @@ def test_dropped_tape_is_freed_without_the_cycle_collector():
         a, w, u, b = (tape.param(store, k) for k in ("a", "w", "u", "b"))
         hc = ad.lstm(a, ad.stack([a, a]), w, u, b)
         h, c = ad.slice_(hc, 0), ad.slice_(hc, 1)
-        x = ad.concat([ad.sub(h, c), ad.scale(ad.mul(h, c), 2.0)], axis=1)
-        x = ad.slice_(ad.matmul(x, np.ones((6, 3))), (slice(None), slice(0, 2)))
-        out = ad.maxlist([ad.sum_(x), ad.sum_(ad.add(a, a))])
+        x = ad.concat([ad.sub(h, c), ad.scale(ad.concat_h(ad.stack([hc, hc])), 2.0)], axis=1)
+        x = ad.affine(x, np.ones((9, 1)), np.ones((1, 1)))
+        f = ad.quadratic_losses(x, np.ones((2, 2)), np.stack([np.eye(2), np.eye(2)]))
+        out = ad.mean([ad.max_increase(f, np.zeros(2)), half_square(x)])
         ad.backward(tape, out)
         ref = weakref.ref(tape)
-        del tape, a, w, u, b, hc, h, c, x, out
+        del tape, a, w, u, b, hc, h, c, x, f, out
         assert ref() is None
     finally:
         gc.enable()
@@ -161,7 +207,7 @@ def test_row_bias_broadcast_backward():
     store = scalar_store(b=np.zeros((1, 3)))
     tape = ad.Tape()
     b = tape.param(store, "b")
-    out = ad.sum_(ad.add(np.ones((4, 3)), b))
+    out = weighted_sum(ad.add(np.ones((4, 3)), b))
     ad.backward(tape, out)
     assert np.array_equal(store.grads["b"], np.full((1, 3), 4.0))
 
@@ -175,6 +221,7 @@ def _random_lstm_loss(seed):
     store.add("b", rng.normal(size=(1, 12)))
     store.add("h0", rng.normal(size=(4, 3)))
     s1, s2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    v = rng.normal(size=(3, 1))
 
     def build(st):
         tape = ad.Tape()
@@ -182,7 +229,7 @@ def _random_lstm_loss(seed):
         hc1 = ad.lstm(s1, ad.stack([h0, np.zeros((4, 3))]), w, u, b)
         hc2 = ad.lstm(s2, hc1, w, u, b)
         h2, c2 = ad.slice_(hc2, 0), ad.slice_(hc2, 1)
-        return tape, ad.add(ad.sum_(ad.mul(h2, h2)), ad.sum_(c2))
+        return tape, ad.add(half_square(ad.affine(h2, v, np.zeros((1, 1)))), weighted_sum(c2))
 
     return store, build
 
@@ -216,19 +263,24 @@ def random_primitive_graph(seed):
     store.add("wx4", rng.normal(size=(h, 4 * h)))
     store.add("wh4", rng.normal(size=(h, 4 * h)))
     store.add("b4", rng.normal(size=(1, 4 * h)))
+    store.add("u", rng.normal(size=(h, 1)))
+    centers = rng.normal(size=(3, n))
+    mats = None if seed % 2 else rng.normal(size=(3, n, n))
+    f0 = rng.normal(size=3)
 
     op_sequence = rng.integers(0, 7, size=4)
 
     def build(st):
         tape = ad.Tape()
-        a, b, w, bias, wx4, wh4, b4 = (
-            tape.param(st, k) for k in ("a", "b", "w", "bias", "wx4", "wh4", "b4")
+        a, b, w, bias, wx4, wh4, b4, u = (
+            tape.param(st, k) for k in ("a", "b", "w", "bias", "wx4", "wh4", "b4", "u")
         )
-        x = ad.add(ad.matmul(a, w), bias)
+        x = ad.affine(a, w, bias)
         ops = [
-            lambda v: ad.mul(v, v),
+            lambda v: ad.affine(v, w, bias),
             lambda v: ad.slice_(ad.lstm(v, ad.stack([b, v]), wx4, wh4, b4), 0),
-            lambda v: ad.mul(v, b),
+            lambda v: ad.slice_(ad.concat_h(ad.stack([ad.stack([v, b]), ad.stack([b, v])])),
+                                (slice(None), slice(1, h + 1))),
             lambda v: ad.add(v, b),
             lambda v: ad.sub(v, b),
             lambda v: ad.scale(v, 0.7),
@@ -236,9 +288,10 @@ def random_primitive_graph(seed):
         ]
         for idx in op_sequence:
             x = ops[idx](x)
-        s1 = ad.sum_(x)
-        s2 = ad.sum_(ad.mul(x, x))
-        return tape, ad.maxlist([s1, s2])
+        col = ad.affine(x, u, np.zeros((1, 1)))
+        s1 = ad.max_increase(ad.quadratic_losses(col, centers, mats), f0)
+        s2 = half_square(col)
+        return tape, ad.mean([s1, s2])
 
     return store, build
 
@@ -285,7 +338,7 @@ def _weighted_lstm_loss(r):
     def build(st):
         tape = ad.Tape()
         hc = ad.lstm(*(tape.param(st, k) for k in LSTM_ARGS))
-        return tape, ad.sum_(ad.mul(hc, r))
+        return tape, weighted_sum(hc, r)
     return build
 
 
@@ -331,7 +384,7 @@ def test_lstm_taped_and_untaped_outputs_bitwise_equal():
                          [((3,), 5, 2, 4, False), ((2,), 1870, 2, 20, True)],
                          ids=["small", "slice_by_slice"])
 def test_stacked_lstm_equals_per_slice_calls_bitwise(lead, n, in_w, hid, sliced):
-    assert (n * 4 * hid >= ad._SLICE_GATE_ENTRIES) == sliced
+    assert (n * 4 * hid > ad._TILE_GATE_ENTRIES) == sliced
     store, r = _lstm_inputs(14, n, in_w, hid, lead=lead)
     p = store.params
     stacked = ad.lstm(*(p[k] for k in LSTM_ARGS))
@@ -349,18 +402,75 @@ def test_stacked_lstm_equals_per_slice_calls_bitwise(lead, n, in_w, hid, sliced)
             assert np.array_equal(one.grads[k], want), k
 
 
+@pytest.mark.parametrize("lead, n, hid", [((), 1870, 20), ((2,), 999, 8)],
+                         ids=["one_cell", "stacked"])
+def test_tiled_lstm_equals_whole_cell_bitwise(lead, n, hid):
+    """Row tiles, the last one ragged, give the whole cell's state and adjoints bit for bit."""
+    rows = ad._TILE_GATE_ENTRIES // (4 * hid)
+    assert n > rows and n % rows != 0
+    store, r = _lstm_inputs(15, n, 3, hid, lead=lead)
+    p = store.params
+    whole, gates, tc = ad._lstm_cell(*(p[k] for k in LSTM_ARGS))
+    assert np.array_equal(ad.lstm(*(p[k] for k in LSTM_ARGS)), whole)
+    want = ad._lstm_backward(r, gates, tc, *(p[k] for k in LSTM_ARGS[:4]), True, True)
+    tape, out = _weighted_lstm_loss(r)(store)
+    assert np.array_equal(tape.nodes[out.nid - 1].value, whole)
+    ad.backward(tape, out)
+    for k, g in zip(LSTM_ARGS, want):
+        assert np.array_equal(store.grads[k], g), k
+
+
 def test_taped_ops_record_no_constant_nodes():
     store = scalar_store(x=np.ones((2, 3)), hc=np.zeros((2, 2, 3)), wx=np.ones((1, 12)),
                          wh=np.ones((3, 12)), b=np.ones((1, 12)))
     tape = ad.Tape()
     x, hc, wx, wh, b = (tape.param(store, k) for k in ("x", "hc", "wx", "wh", "b"))
-    y = ad.mul(ad.add(x, np.ones((2, 3))), np.full((2, 3), 2.0))
+    y = ad.sub(ad.add(x, np.ones((2, 3))), np.full((2, 3), 2.0))
     state = ad.lstm(np.ones((2, 1)), hc, wx, wh, b)
-    assert len(tape.nodes) == 8  # five params, add, mul, lstm
+    assert len(tape.nodes) == 8  # five params, add, sub, lstm
     assert tape.nodes[y.nid].inputs == (y.nid - 1, None)
     assert tape.nodes[state.nid].inputs == (None, hc.nid, wx.nid, wh.nid, b.nid)
-    ad.backward(tape, ad.add(ad.sum_(y), ad.sum_(state)))
-    assert np.array_equal(store.grads["x"], np.full((2, 3), 2.0))
+    ad.backward(tape, ad.add(weighted_sum(y), weighted_sum(state)))
+    assert np.array_equal(store.grads["x"], np.ones((2, 3)))
+
+
+def _fused_node_loss(node, rng):
+    """A store and a scalar builder that reach every parameter through ``node``."""
+    if node.startswith("quadratic"):
+        store = scalar_store(x=rng.normal(size=(4, 1)))
+        centers, r = rng.normal(size=(3, 4)), rng.normal(size=3)
+        mats = rng.normal(size=(3, 4, 4)) if node == "quadratic_curved" else None
+        loss = lambda p: weighted_sum(ad.quadratic_losses(p["x"], centers, mats), r)
+    elif node == "max_increase":
+        store = scalar_store(curr=rng.normal(size=4), prev=rng.normal(size=4))
+        loss = lambda p: ad.max_increase(p["curr"], p["prev"])
+    elif node == "concat_h":
+        store, r = scalar_store(hc=rng.normal(size=(2, 3, 4, 2))), rng.normal(size=(4, 6))
+        loss = lambda p: weighted_sum(ad.concat_h(p["hc"]), r)
+    elif node == "affine":
+        store = scalar_store(x=rng.normal(size=(4, 3)), w=rng.normal(size=(3, 2)),
+                             b=rng.normal(size=(1, 2)))
+        v = rng.normal(size=(2, 1))
+        loss = lambda p: half_square(ad.affine(ad.affine(p["x"], p["w"], p["b"]), v,
+                                               np.zeros((1, 1))))
+    else:
+        store = scalar_store(x=rng.normal(size=(3, 1)))
+        loss = lambda p: ad.mean([half_square(ad.slice_(p["x"], slice(0, 2))),
+                                  half_square(ad.slice_(p["x"], slice(1, 3))),
+                                  half_square(ad.scale(p["x"], 2.0))])
+
+    def build(st):
+        tape = ad.Tape()
+        return tape, loss({k: tape.param(st, k) for k in st.names()})
+
+    return store, build
+
+
+@pytest.mark.parametrize("node", ["quadratic_identity", "quadratic_curved", "max_increase",
+                                  "concat_h", "affine", "mean"])
+def test_fused_node_gradient_matches_fd(node):
+    store, build = _fused_node_loss(node, np.random.default_rng(21))
+    check_fd(store, build)
 
 
 def test_finite_diff_basics():

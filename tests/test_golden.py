@@ -24,7 +24,7 @@ from moograd.ml2o import (
     store_from_params,
     unroll_window,
 )
-from moograd.problems import make_quadratic_pair
+from moograd.problems import QuadraticPair, make_quadratic_pair
 
 QUADRATIC = {"name": "quadratic_pair", "params": {"dim": 3, "seed": 5, "noise_sigma": 0.2}}
 TOY_MTL = {
@@ -225,7 +225,14 @@ def test_meta_train_bits_match_golden():
     )
     # the gradients of one taped window
     problem = make_quadratic_pair(3, seed=7, noise_sigma=0.1)
-    rng = np.random.default_rng(3)
+    assert window_digest(problem, np.random.default_rng(3)) == (
+        "cb253e8e301693d17673e5f3990c12de1f4c71d005852b185e695ff8de9aefc9"
+    )
+
+
+def window_digest(problem, rng):
+    """Digest of the parameter gradients of one taped 10-step window of an
+    ``init_params(2, 4, 0)`` model on the dim-3 ``problem``."""
     store = store_from_params(init_params(2, 4, 0))
     tape = ad.Tape()
     leafs = {name: tape.param(store, name) for name in store.names()}
@@ -233,6 +240,26 @@ def test_meta_train_bits_match_golden():
     mean, _, _ = unroll_window(problem, x, init_state(2, 4, 3), leafs, 10, 0.1,
                                lambda j, xv: problem.sample_gradient(xv, rng))
     ad.backward(tape, mean)
-    assert array_digest(store.grads) == (
-        "cb253e8e301693d17673e5f3990c12de1f4c71d005852b185e695ff8de9aefc9"
+    return array_digest(store.grads)
+
+
+def curved_pair(rng, dim):
+    """A pair with random SPD curvature on both objectives."""
+    c1, c2 = rng.uniform(-1.0, 1.0, (2, dim))
+    b1, b2 = rng.normal(size=(2, dim, dim))
+    return QuadraticPair(c1, c2, b1 @ b1.T / dim + 0.5 * np.eye(dim),
+                         b2 @ b2.T / dim + 0.5 * np.eye(dim), noise_sigma=0.1, domain=(-1.0, 1.0))
+
+
+def test_curved_quadratic_bits_match_golden():
+    """The taped window of ``test_meta_train_bits_match_golden`` and a short
+    training, on pairs with non-identity curvature on both objectives."""
+    problem = curved_pair(np.random.default_rng(11), 3)
+    assert window_digest(problem, np.random.default_rng(3)) == (
+        "92cd99c0829c02264d43b945882ea5cb8601029a79c55ca5d6706201305ea1bc"
+    )
+    trained, _ = meta_train(lambda rng: curved_pair(rng, 5), init_params(2, 6, 3), steps=40,
+                            window=10, meta_lr=0.05, epochs=10, seed=3, alpha=0.2)
+    assert array_digest(trained.arrays) == (
+        "ce73bc4bdafe2a449b5517d4fd137b09e7325fa6f873648e192a6c334c061178"
     )

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -199,8 +201,8 @@ def test_preprocess_stack_equals_rows():
         assert np.array_equal(preprocess_gradient(row), e)
 
 
-def test_unroll_window_records_few_nodes():
-    """One H=8, dim-8 training window of 20 steps: 22 nodes a step, no constants."""
+def taped_window():
+    """One H=8, dim-8 training window of 20 steps: its tape and window-mean meta-loss."""
     params = init_params(2, 8, seed=0)
     prob = make_quadratic_pair(8, seed=3, noise_sigma=0.1)
     rng = np.random.default_rng(0)
@@ -208,9 +210,29 @@ def test_unroll_window_records_few_nodes():
     tape = ad.Tape()
     leafs = {n: tape.param(store, n) for n in store.names()}
     x0 = prob.initial_point(rng).reshape(-1, 1)
-    unroll_window(prob, x0, init_state(2, 8, 8), leafs, 20, 0.35,
-                  lambda j, xv: prob.sample_gradient(xv, rng))
-    assert len(tape.nodes) <= 510
+    mean, _, _ = unroll_window(prob, x0, init_state(2, 8, 8), leafs, 20, 0.35,
+                               lambda j, xv: prob.sample_gradient(xv, rng))
+    return tape, mean
+
+
+def test_unroll_window_records_few_nodes():
+    """68 parameter and fusing nodes, 9 nodes a step and the window mean, no constants."""
+    tape, _ = taped_window()
+    assert len(tape.nodes) <= 260
+
+
+def test_dropped_window_tape_is_freed_without_the_cycle_collector():
+    """No backward closure of a training window holds a Var: a dropped tape
+    goes with its last reference, not at the next full collection."""
+    gc.disable()
+    try:
+        tape, mean = taped_window()
+        ad.backward(tape, mean)
+        ref = weakref.ref(tape)
+        del tape, mean
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_meta_train_zero_lr_keeps_params():
