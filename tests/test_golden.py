@@ -19,6 +19,7 @@ from moograd.harness import run_experiment
 from moograd.ml2o import (
     init_params,
     init_state,
+    load_checkpoint,
     meta_train,
     save_checkpoint,
     store_from_params,
@@ -206,6 +207,21 @@ def test_csv_hashes_match_golden(case, checkpoint, tmp_path):
     problem, name, params = CASES[case]
     params = {k: checkpoint if v is CHECKPOINT else v for k, v in params.items()}
     assert population_hashes(problem, name, params, str(tmp_path / "run")) == GOLDEN[case]
+
+
+def file_digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_checkpoint_bytes_match_golden(checkpoint, tmp_path):
+    """The bytes ``save_checkpoint`` writes for ``init_params(2, 4, 0)``, and
+    those of a load -> save round trip of that file."""
+    again = str(tmp_path / "again.json")
+    save_checkpoint(load_checkpoint(checkpoint), again)
+    want = "23af8d69412ea5bc815cb7d0950ea29a628e9294e2df8ac663575e99f997e66c"
+    assert file_digest(checkpoint) == want
+    assert file_digest(again) == want
 
 
 def array_digest(arrays):
