@@ -3,13 +3,14 @@
 All tensors are row-major ``numpy.float64`` arrays. The primitive set is
 fixed to what the recurrent optimizer and its training loss need:
 
-- add, sub, scale, concat, slice and stack;
+- add (the LSTM bias ``bx + bh``) and slice;
 - one fused LSTM cell, :func:`lstm`;
 - the shared cell's input, :func:`concat_h`, and the head, :func:`affine`;
+- the iterate update ``x - d * alpha``, :func:`sub_scaled`;
 - the training loss: :func:`quadratic_losses`, :func:`max_increase` (the
   worst per-objective increase) and :func:`mean` (the window mean).
 
-Each node of the last two items runs exactly the float operations, in the
+Each node of the last three items runs exactly the float operations, in the
 same order, of the chain of elementwise products, matrix products and sums
 it replaces, so its value and adjoints are those of the chain bit for bit.
 Every primitive accepts either plain arrays (untaped, fast path) or
@@ -23,9 +24,8 @@ reverse and knows no primitive. No closure holds a :class:`Var`: that would
 make a cycle (tape, node, closure, Var, tape), and every dropped tape would
 then wait for the cycle collector.
 
-Elementwise ops require equal shapes, with one deliberate exception: a
-``(1, H)`` row may be added to or subtracted from an ``(N, H)`` matrix (bias
-rows). Anything broader is rejected.
+Elementwise ops require equal shapes; only :func:`affine` broadcasts its
+``(1, out)`` bias row.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class ParamStore:
         self.grads[name] = np.zeros_like(arr)
 
     def zero_grad(self) -> None:
-        for name in self.grads:
+        for name in self.params:
             self.grads[name].fill(0.0)
 
     def names(self) -> list[str]:
@@ -147,32 +147,22 @@ def _record(inputs, out: np.ndarray, backward):
 
 
 def _check_elementwise(a: np.ndarray, b: np.ndarray, kind: str) -> None:
-    if a.shape == b.shape:
-        return
-    # row-bias exception: (1, H) against (N, H)
-    if a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[1] and 1 in (a.shape[0], b.shape[0]):
-        return
-    raise ShapeError(f"{kind}: incompatible shapes {a.shape} and {b.shape}")
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if grad.shape == shape:
-        return grad
-    return grad.sum(axis=0, keepdims=True)
+    if a.shape != b.shape:
+        raise ShapeError(f"{kind}: incompatible shapes {a.shape} and {b.shape}")
 
 
 def add(a, b):
     x, y = value(a), value(b)
     _check_elementwise(x, y, "add")
-    return _record((a, b), x + y,
-                   lambda g: (_unbroadcast(g, x.shape), _unbroadcast(g, y.shape)))
+    return _record((a, b), x + y, lambda g: (g, g))
 
 
-def sub(a, b):
-    x, y = value(a), value(b)
-    _check_elementwise(x, y, "sub")
-    return _record((a, b), x - y,
-                   lambda g: (_unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)))
+def sub_scaled(x, d, alpha):
+    """``x - d * alpha`` for a float ``alpha``: the value and adjoints of
+    ``x - (d * alpha)`` as two nodes, bit for bit."""
+    xv, dv, alpha = value(x), value(d), float(alpha)
+    _check_elementwise(xv, dv, "sub_scaled")
+    return _record((x, d), xv - dv * alpha, lambda g: (g, -g * alpha))
 
 
 def affine(x, w, b):
@@ -181,23 +171,7 @@ def affine(x, w, b):
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != (1, wv.shape[1]):
         raise ShapeError(f"affine: incompatible shapes {xv.shape}, {wv.shape} and {bv.shape}")
     return _record((x, w, b), xv @ wv + bv,
-                   lambda g: (g @ wv.T, xv.T @ g, _unbroadcast(g, bv.shape)))
-
-
-def concat(parts, axis=0):
-    parts = tuple(parts)
-    vals = [value(p) for p in parts]
-
-    def backward(g):
-        idx = [slice(None)] * g.ndim
-        pieces, lo = [], 0
-        for v in vals:
-            idx[axis] = slice(lo, lo + v.shape[axis])
-            pieces.append(g[tuple(idx)])
-            lo += v.shape[axis]
-        return pieces
-
-    return _record(parts, np.concatenate(vals, axis=axis), backward)
+                   lambda g: (g @ wv.T, xv.T @ g, g.sum(axis=0, keepdims=True)))
 
 
 def slice_(a, key):
@@ -210,11 +184,6 @@ def slice_(a, key):
         return (dx,)
 
     return _record((a,), np.asarray(x[key], dtype=np.float64), backward)
-
-
-def scale(a, factor):
-    factor = float(factor)
-    return _record((a,), value(a) * factor, lambda g: (g * factor,))
 
 
 def concat_h(hc):
@@ -289,12 +258,6 @@ def mean(parts):
     for v in vals[1:]:
         total = total + v
     return _record(parts, np.asarray(total * factor), lambda g: [g * factor] * n)
-
-
-def stack(parts):
-    """The arrays ``parts`` stacked on a new leading axis."""
-    parts = tuple(parts)
-    return _record(parts, np.stack([value(p) for p in parts]), tuple)
 
 
 # A cell whose gate block (N x 4H, per stacked slice) has more entries than

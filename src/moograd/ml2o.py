@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,59 +40,82 @@ class MetaTrainDiverged(RuntimeError):
     pass
 
 
-def cell_array_shapes(input_width: int, hidden_width: int) -> dict[str, tuple[int, int]]:
-    shapes: dict[str, tuple[int, int]] = {}
-    for gate in GATES:
-        shapes[f"wx_{gate}"] = (input_width, hidden_width)
-        shapes[f"wh_{gate}"] = (hidden_width, hidden_width)
-        shapes[f"bx_{gate}"] = (1, hidden_width)
-        shapes[f"bh_{gate}"] = (1, hidden_width)
-    return shapes
+def fused_shapes(m: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """The stored arrays of an M-objective optimizer of width ``hidden``.
+
+    The M objective cells (``spec``) are stacked on a leading axis, and each
+    cell's four gates sit side by side in :data:`ad.LSTM_GATES` column order.
+    """
+    h4, mh = 4 * hidden, m * hidden
+    return {
+        "spec.wx": (m, 2, h4), "spec.wh": (m, hidden, h4),
+        "spec.bx": (m, 1, h4), "spec.bh": (m, 1, h4),
+        "shared.wx": (mh, 4 * mh), "shared.wh": (mh, 4 * mh),
+        "shared.bx": (1, 4 * mh), "shared.bh": (1, 4 * mh),
+        "head.w": (mh, 1), "head.b": (1, 1),
+    }
 
 
-def param_array_shapes(m: int, hidden: int) -> dict[str, tuple[int, int]]:
-    """Full parameter layout for an M-objective optimizer of width ``hidden``."""
-    shapes: dict[str, tuple[int, int]] = {}
-    for i in range(m):
-        for name, shape in cell_array_shapes(2, hidden).items():
-            shapes[f"specific{i}.{name}"] = shape
-    for name, shape in cell_array_shapes(m * hidden, m * hidden).items():
-        shapes[f"shared.{name}"] = shape
-    shapes["head.w"] = (m * hidden, 1)
-    shapes["head.b"] = (1, 1)
-    return shapes
+def gate_views(fused: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The checkpoint's per-gate arrays as views into the :func:`fused_shapes` arrays.
+
+    Names run cell by cell, gates in :data:`GATES` order, each gate as
+    ``wx``, ``wh``, ``bx``, ``bh``; ``head.w`` and ``head.b`` are the fused
+    arrays themselves. This is the one place where the name order of
+    :data:`GATES` meets the column order of :data:`ad.LSTM_GATES`.
+    """
+    m = fused["spec.wx"].shape[0]
+    cells = [(f"specific{i}.", "spec.", (i,)) for i in range(m)] + [("shared.", "shared.", ())]
+    views = {}
+    for name, prefix, lead in cells:
+        width = fused[prefix + "wh"].shape[-2]
+        for gate in GATES:
+            lo = ad.LSTM_GATES.index(gate) * width
+            cols = lead + (slice(None), slice(lo, lo + width))
+            for kind in ("wx", "wh", "bx", "bh"):
+                views[f"{name}{kind}_{gate}"] = fused[prefix + kind][cols]
+    views["head.w"], views["head.b"] = fused["head.w"], fused["head.b"]
+    return views
 
 
 @dataclass
 class Ml2oParams:
+    """An optimizer stored as the :func:`fused_shapes` arrays ``fused``.
+
+    ``arrays`` maps each checkpoint name to a view into ``fused``
+    (:func:`gate_views`): an edit in place through it edits the model.
+    """
+
     m: int
     hidden: int
-    arrays: dict[str, np.ndarray]
+    fused: Mapping[str, np.ndarray]
+    arrays: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> None:
-        shapes = param_array_shapes(self.m, self.hidden)
-        if set(shapes) != set(self.arrays):
-            missing = sorted(set(shapes) - set(self.arrays))
-            extra = sorted(set(self.arrays) - set(shapes))
-            raise ShapeError(f"parameter names mismatch: missing={missing} extra={extra}")
-        for name, shape in shapes.items():
-            if self.arrays[name].shape != shape:
-                raise ShapeError(
-                    f"array {name!r}: shape {self.arrays[name].shape} != expected {shape}"
-                )
+    def __post_init__(self):
+        shapes = fused_shapes(self.m, self.hidden)
+        got = {name: np.shape(arr) for name, arr in self.fused.items()}
+        if got != shapes:
+            raise ShapeError(f"fused arrays {got} do not fit m={self.m}, hidden={self.hidden}")
+        self.fused = MappingProxyType(
+            {k: np.ascontiguousarray(v, dtype=np.float64) for k, v in self.fused.items()}
+        )
+        self.arrays = MappingProxyType(gate_views(self.fused))
 
     def copy(self) -> "Ml2oParams":
-        return Ml2oParams(self.m, self.hidden, {k: v.copy() for k, v in self.arrays.items()})
+        return Ml2oParams(self.m, self.hidden, {k: v.copy() for k, v in self.fused.items()})
+
+
+def _blank_params(m: int, hidden: int) -> Ml2oParams:
+    return Ml2oParams(m, hidden, {k: np.empty(s) for k, s in fused_shapes(m, hidden).items()})
 
 
 def init_params(m: int, hidden: int, seed: int, *, scale: float = 0.1) -> Ml2oParams:
-    """Uniform U[-scale, scale] entries from a dedicated stream."""
+    """Uniform U[-scale, scale] entries from a dedicated stream, drawn in checkpoint order."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(103,)))
-    arrays = {
-        name: rng.uniform(-scale, scale, shape)
-        for name, shape in param_array_shapes(m, hidden).items()
-    }
-    return Ml2oParams(m, hidden, arrays)
+    params = _blank_params(m, hidden)
+    for view in params.arrays.values():
+        view[...] = rng.uniform(-scale, scale, view.shape)
+    return params
 
 
 @dataclass
@@ -122,31 +146,18 @@ def preprocess_gradient(g: np.ndarray, p: float = 10.0) -> np.ndarray:
     out = np.empty(g.shape + (2,))
     mag = np.abs(g)
     big = mag >= math.exp(-p)
-    with np.errstate(divide="ignore"):
-        out[..., 0] = np.where(big, np.log(np.maximum(mag, 1e-300)) / p, -1.0)
+    out[..., 0] = np.where(big, np.log(np.maximum(mag, 1e-300)) / p, -1.0)
     out[..., 1] = np.where(big, np.sign(g), math.exp(p) * g)
     return out
 
 
-def _fused_cell(arrays, prefix: str) -> tuple:
-    """Stack one cell's per-gate arrays into the ``(wx, wh, b)`` of ``ad.lstm``.
+def _fuse(fused) -> tuple:
+    """The ``(wx, wh, bx + bh)`` of both cells and the head's ``(w, b)``, once per window or call.
 
-    Built with taped ``concat``/``add`` when the arrays are Vars, so their
-    gradients flow back to the per-gate parameters.
+    ``fused`` maps the :func:`fused_shapes` names to arrays or to their Vars.
     """
-    stack = lambda kind: ad.concat([arrays[f"{prefix}{kind}_{k}"] for k in ad.LSTM_GATES], axis=1)
-    return stack("wx"), stack("wh"), ad.add(stack("bx"), stack("bh"))
-
-
-def _fuse(arrays, m: int) -> tuple:
-    """Fused cells and head of an M-objective optimizer, built once per window or call.
-
-    The M objective cells are stacked on a leading axis into one ``ad.lstm``
-    cell.
-    """
-    specific = [_fused_cell(arrays, f"specific{i}.") for i in range(m)]
-    stacked = tuple(ad.stack(parts) for parts in zip(*specific))
-    return stacked, _fused_cell(arrays, "shared."), arrays["head.w"], arrays["head.b"]
+    cell = lambda p: (fused[p + "wx"], fused[p + "wh"], ad.add(fused[p + "bx"], fused[p + "bh"]))
+    return cell("spec."), cell("shared."), fused["head.w"], fused["head.b"]
 
 
 def _direction_core(y_rows: np.ndarray, state: Ml2oState, fused) -> tuple:
@@ -167,7 +178,7 @@ def ml2o_direction(y_rows: np.ndarray, state: Ml2oState, params: Ml2oParams):
     y_rows = np.asarray(y_rows, dtype=np.float64)
     if y_rows.ndim != 2 or y_rows.shape[0] != params.m:
         raise ShapeError(f"expected ({params.m}, N) gradient stack, got {y_rows.shape}")
-    g_col, new_state = _direction_core(y_rows, state, _fuse(params.arrays, params.m))
+    g_col, new_state = _direction_core(y_rows, state, _fuse(params.fused))
     return np.asarray(g_col).reshape(-1), new_state
 
 
@@ -211,25 +222,26 @@ def meta_loss(f_curr, f_prev):
     return out if isinstance(out, Var) else float(out)
 
 
-def unroll_window(problem, x_col, state: Ml2oState, arrays, window: int,
+def unroll_window(problem, x_col, state: Ml2oState, fused, window: int,
                   alpha, draw_fn: Callable[[int, np.ndarray], np.ndarray],
                   k_offset: int = 0):
     """Unroll ``window`` learned steps and average the per-step meta-loss.
 
     ``draw_fn(j, x_value)`` supplies the (M, N) gradient stack for local step
     j; its output is detached. ``alpha`` is a constant or a callable of the
-    global step index (1-based, offset by ``k_offset``). Works identically on
-    plain arrays (evaluation) and tape Vars (training).
+    global step index (1-based, offset by ``k_offset``). ``fused`` maps the
+    :func:`fused_shapes` names to plain arrays (evaluation) or tape Vars
+    (training); both run the same arithmetic.
     """
     alpha_at = alpha if callable(alpha) else (lambda k: alpha)
-    fused = _fuse(arrays, ad.value(state.spec).shape[1])
+    cells = _fuse(fused)
     f_prev = problem.eval_terms(x_col)
     losses = []
     x = x_col
     for j in range(window):
         y_rows = draw_fn(j, ad.value(x).reshape(-1))
-        g_col, state = _direction_core(np.asarray(y_rows, dtype=np.float64), state, fused)
-        x = ad.sub(x, ad.scale(g_col, float(alpha_at(k_offset + j + 1))))
+        g_col, state = _direction_core(np.asarray(y_rows, dtype=np.float64), state, cells)
+        x = ad.sub_scaled(x, g_col, alpha_at(k_offset + j + 1))
         f_curr = problem.eval_terms(x)
         losses.append(meta_loss(f_curr, f_prev))
         f_prev = f_curr
@@ -253,9 +265,12 @@ def _leaf_vars(tape: Tape, store: ParamStore) -> dict[str, Var]:
 
 
 def store_from_params(params: Ml2oParams) -> ParamStore:
+    """A store of copies of the fused arrays, one leaf each."""
     store = ParamStore()
-    for name, arr in params.arrays.items():
+    for name, arr in params.fused.items():
         store.add(name, arr.copy())
+    # perfbench reads gradients by checkpoint name: alias each to a view of the fused gradient
+    store.grads.update(gate_views(store.grads))
     return store
 
 
@@ -335,13 +350,12 @@ def evaluate_meta_loss(
         x = problem.initial_point(rng).reshape(-1, 1)
         state = init_state(params.m, params.hidden, problem.dim)
         draw_fn = _draw_fn(problem, draw_mode, rng)
-        mean, _, _ = unroll_window(problem, x, state, params.arrays, steps, alpha, draw_fn)
+        mean, _, _ = unroll_window(problem, x, state, params.fused, steps, alpha, draw_fn)
         totals.append(float(ad.value(mean)))
     return float(np.mean(totals))
 
 
 def save_checkpoint(params: Ml2oParams, path: str) -> None:
-    params.validate()
     doc = {
         "version": CHECKPOINT_VERSION,
         "m": params.m,
@@ -372,24 +386,22 @@ def load_checkpoint(path: str) -> Ml2oParams:
         )
     if doc["out_width"] != 1:
         raise CheckpointError(f"field 'out_width': expected 1, found {doc['out_width']}")
-    m, hidden = int(doc["m"]), int(doc["hidden"])
-    shapes = param_array_shapes(m, hidden)
-    arrays = {}
-    for name, shape in shapes.items():
+    params = _blank_params(int(doc["m"]), int(doc["hidden"]))
+    for name, view in params.arrays.items():
         if name not in doc["arrays"]:
             raise CheckpointError(f"checkpoint missing array {name!r}")
         flat = np.asarray(doc["arrays"][name], dtype=np.float64)
-        if flat.size != shape[0] * shape[1]:
+        if flat.size != view.size:
             raise CheckpointError(
-                f"array {name!r}: {flat.size} values cannot fill shape {shape}"
+                f"array {name!r}: {flat.size} values cannot fill shape {view.shape}"
             )
         if not ad.all_finite(flat):
             raise CheckpointError(f"array {name!r}: non-finite values")
-        arrays[name] = flat.reshape(shape)
-    extra = sorted(set(doc["arrays"]) - set(shapes))
+        view[...] = flat.reshape(view.shape)
+    extra = sorted(set(doc["arrays"]) - set(params.arrays))
     if extra:
         raise CheckpointError(f"checkpoint has unexpected arrays: {extra}")
-    return Ml2oParams(m, hidden, arrays)
+    return params
 
 
 def check_compatible(params: Ml2oParams, problem) -> None:

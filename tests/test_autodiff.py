@@ -62,6 +62,10 @@ def test_shape_errors_name_the_kind():
         ad.mean([np.zeros(2), 1.0])
     with pytest.raises(ad.ShapeError, match="add"):
         ad.add(np.zeros((2, 3)), np.zeros((3, 2)))
+    with pytest.raises(ad.ShapeError, match="add"):  # no row broadcast
+        ad.add(np.zeros((4, 3)), np.zeros((1, 3)))
+    with pytest.raises(ad.ShapeError, match="sub_scaled"):
+        ad.sub_scaled(np.zeros((3, 1)), np.zeros((1, 3)), 0.5)
     with pytest.raises(ad.ShapeError, match="lstm"):
         ad.lstm(np.zeros((2, 1)), np.zeros((2, 2, 3)),
                 np.zeros((1, 12)), np.zeros((3, 12)), np.zeros((1, 3)))
@@ -131,7 +135,7 @@ def test_backward_linearity():
         return {k: v.copy() for k, v in store.grads.items()}
 
     f = lambda a, b: half_square(a)
-    g = lambda a, b: ad.max_increase(ad.quadratic_losses(ad.sub(a, b), centers, mats), np.zeros(2))
+    g = lambda a, b: ad.max_increase(ad.quadratic_losses(ad.sub_scaled(a, b, 1.0), centers, mats), np.zeros(2))
     both = grads_of(lambda a, b: ad.add(f(a, b), g(a, b)))
     gf, gg = grads_of(f), grads_of(g)
     for k in both:
@@ -148,15 +152,26 @@ def test_max_increase_lowest_index_tie():
     assert np.array_equal(store.grads["prev"], [-1.0, 0.0, 0.0])
 
 
-def test_concat_slice_roundtrip_gradient():
-    store = scalar_store(a=np.ones((2, 2)), b=np.full((2, 3), 2.0))
+def test_slice_roundtrip_gradient():
+    store = scalar_store(a=np.ones((2, 5)))
     tape = ad.Tape()
-    a, b = tape.param(store, "a"), tape.param(store, "b")
-    joined = ad.concat([a, b], axis=1)
-    piece = ad.slice_(joined, (slice(None), slice(1, 4)))
+    piece = ad.slice_(tape.param(store, "a"), (slice(None), slice(1, 4)))
     ad.backward(tape, weighted_sum(piece))
-    assert np.array_equal(store.grads["a"], [[0, 1], [0, 1]])
-    assert np.array_equal(store.grads["b"], [[1, 1, 0], [1, 1, 0]])
+    assert np.array_equal(store.grads["a"], [[0, 1, 1, 1, 0], [0, 1, 1, 1, 0]])
+
+
+def test_sub_scaled_equals_two_step_chain_bitwise():
+    """The value is ``x - (d * alpha)``; the adjoints are those of a ``d * alpha``
+    node followed by a subtraction node: ``g`` and ``(-g) * alpha``."""
+    rng = np.random.default_rng(3)
+    x0, d0, r = rng.normal(size=(3, 4, 1))
+    store = scalar_store(x=x0, d=d0)
+    tape = ad.Tape()
+    out = ad.sub_scaled(tape.param(store, "x"), tape.param(store, "d"), 0.35)
+    assert np.array_equal(out.value, x0 - d0 * 0.35)
+    ad.backward(tape, weighted_sum(out, r))
+    assert np.array_equal(store.grads["x"], r)
+    assert np.array_equal(store.grads["d"], (-r) * 0.35)
 
 
 def test_shared_adjoints_and_two_slices_match_fd():
@@ -183,21 +198,20 @@ def test_shared_adjoints_and_two_slices_match_fd():
 
 def test_dropped_tape_is_freed_without_the_cycle_collector():
     """No recorded backward holds a Var, so a tape and its arrays go with its last reference."""
-    store = scalar_store(a=np.ones((2, 3)), w=np.ones((3, 12)), u=np.ones((3, 12)),
-                         b=np.ones((1, 12)))
+    store = scalar_store(s=np.ones((1, 2, 3)), hc=np.ones((2, 1, 2, 3)), w=np.ones((1, 3, 12)),
+                         u=np.ones((1, 3, 12)), bx=np.ones((1, 1, 12)), bh=np.ones((1, 1, 12)))
     gc.disable()
     try:
         tape = ad.Tape()
-        a, w, u, b = (tape.param(store, k) for k in ("a", "w", "u", "b"))
-        hc = ad.lstm(a, ad.stack([a, a]), w, u, b)
-        h, c = ad.slice_(hc, 0), ad.slice_(hc, 1)
-        x = ad.concat([ad.sub(h, c), ad.scale(ad.concat_h(ad.stack([hc, hc])), 2.0)], axis=1)
-        x = ad.affine(x, np.ones((9, 1)), np.ones((1, 1)))
+        s, hc, w, u, bx, bh = (tape.param(store, k) for k in ("s", "hc", "w", "u", "bx", "bh"))
+        hc = ad.lstm(s, hc, w, u, ad.add(bx, bh))
+        x = ad.sub_scaled(ad.concat_h(hc), ad.slice_(hc, (1, 0)), 2.0)
+        x = ad.affine(x, np.ones((3, 1)), np.ones((1, 1)))
         f = ad.quadratic_losses(x, np.ones((2, 2)), np.stack([np.eye(2), np.eye(2)]))
         out = ad.mean([ad.max_increase(f, np.zeros(2)), half_square(x)])
         ad.backward(tape, out)
         ref = weakref.ref(tape)
-        del tape, a, w, u, b, hc, h, c, x, f, out
+        del tape, s, hc, w, u, bx, bh, x, f, out
         assert ref() is None
     finally:
         gc.enable()
@@ -207,7 +221,7 @@ def test_row_bias_broadcast_backward():
     store = scalar_store(b=np.zeros((1, 3)))
     tape = ad.Tape()
     b = tape.param(store, "b")
-    out = weighted_sum(ad.add(np.ones((4, 3)), b))
+    out = weighted_sum(ad.affine(np.ones((4, 2)), np.zeros((2, 3)), b))
     ad.backward(tape, out)
     assert np.array_equal(store.grads["b"], np.full((1, 3), 4.0))
 
@@ -219,14 +233,14 @@ def _random_lstm_loss(seed):
     store.add("w", rng.normal(size=(2, 12)))
     store.add("u", rng.normal(size=(3, 12)))
     store.add("b", rng.normal(size=(1, 12)))
-    store.add("h0", rng.normal(size=(4, 3)))
+    store.add("hc0", np.stack([rng.normal(size=(4, 3)), np.zeros((4, 3))]))
     s1, s2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
     v = rng.normal(size=(3, 1))
 
     def build(st):
         tape = ad.Tape()
-        w, u, b, h0 = (tape.param(st, n) for n in ("w", "u", "b", "h0"))
-        hc1 = ad.lstm(s1, ad.stack([h0, np.zeros((4, 3))]), w, u, b)
+        w, u, b, hc0 = (tape.param(st, n) for n in ("w", "u", "b", "hc0"))
+        hc1 = ad.lstm(s1, hc0, w, u, b)
         hc2 = ad.lstm(s2, hc1, w, u, b)
         h2, c2 = ad.slice_(hc2, 0), ad.slice_(hc2, 1)
         return tape, ad.add(half_square(ad.affine(h2, v, np.zeros((1, 1)))), weighted_sum(c2))
@@ -264,6 +278,8 @@ def random_primitive_graph(seed):
     store.add("wh4", rng.normal(size=(h, 4 * h)))
     store.add("b4", rng.normal(size=(1, 4 * h)))
     store.add("u", rng.normal(size=(h, 1)))
+    store.add("hc", rng.normal(size=(2, n, h)))
+    store.add("hc2", rng.normal(size=(2, 2, n, h)))
     centers = rng.normal(size=(3, n))
     mats = None if seed % 2 else rng.normal(size=(3, n, n))
     f0 = rng.normal(size=3)
@@ -272,19 +288,19 @@ def random_primitive_graph(seed):
 
     def build(st):
         tape = ad.Tape()
-        a, b, w, bias, wx4, wh4, b4, u = (
-            tape.param(st, k) for k in ("a", "b", "w", "bias", "wx4", "wh4", "b4", "u")
+        a, b, w, bias, wx4, wh4, b4, u, hc, hc2 = (
+            tape.param(st, k)
+            for k in ("a", "b", "w", "bias", "wx4", "wh4", "b4", "u", "hc", "hc2")
         )
         x = ad.affine(a, w, bias)
         ops = [
             lambda v: ad.affine(v, w, bias),
-            lambda v: ad.slice_(ad.lstm(v, ad.stack([b, v]), wx4, wh4, b4), 0),
-            lambda v: ad.slice_(ad.concat_h(ad.stack([ad.stack([v, b]), ad.stack([b, v])])),
-                                (slice(None), slice(1, h + 1))),
+            lambda v: ad.slice_(ad.lstm(v, hc, wx4, wh4, b4), 0),
+            lambda v: ad.slice_(ad.lstm(v, hc, wx4, wh4, b4), 1),
+            lambda v: ad.add(v, ad.slice_(ad.concat_h(hc2), (slice(None), slice(1, h + 1)))),
             lambda v: ad.add(v, b),
-            lambda v: ad.sub(v, b),
-            lambda v: ad.scale(v, 0.7),
-            lambda v: ad.slice_(ad.concat([v, b], axis=1), (slice(None), slice(0, h))),
+            lambda v: ad.sub_scaled(v, b, 0.7),
+            lambda v: ad.sub_scaled(b, v, -1.3),
         ]
         for idx in op_sequence:
             x = ops[idx](x)
@@ -425,9 +441,9 @@ def test_taped_ops_record_no_constant_nodes():
                          wh=np.ones((3, 12)), b=np.ones((1, 12)))
     tape = ad.Tape()
     x, hc, wx, wh, b = (tape.param(store, k) for k in ("x", "hc", "wx", "wh", "b"))
-    y = ad.sub(ad.add(x, np.ones((2, 3))), np.full((2, 3), 2.0))
+    y = ad.sub_scaled(ad.add(x, np.ones((2, 3))), np.full((2, 3), 2.0), 1.0)
     state = ad.lstm(np.ones((2, 1)), hc, wx, wh, b)
-    assert len(tape.nodes) == 8  # five params, add, sub, lstm
+    assert len(tape.nodes) == 8  # five params, add, sub_scaled, lstm
     assert tape.nodes[y.nid].inputs == (y.nid - 1, None)
     assert tape.nodes[state.nid].inputs == (None, hc.nid, wx.nid, wh.nid, b.nid)
     ad.backward(tape, ad.add(weighted_sum(y), weighted_sum(state)))
@@ -453,11 +469,14 @@ def _fused_node_loss(node, rng):
         v = rng.normal(size=(2, 1))
         loss = lambda p: half_square(ad.affine(ad.affine(p["x"], p["w"], p["b"]), v,
                                                np.zeros((1, 1))))
+    elif node == "sub_scaled":
+        store = scalar_store(x=rng.normal(size=(3, 1)), d=rng.normal(size=(3, 1)))
+        loss = lambda p: half_square(ad.sub_scaled(p["x"], p["d"], 0.35))
     else:
         store = scalar_store(x=rng.normal(size=(3, 1)))
         loss = lambda p: ad.mean([half_square(ad.slice_(p["x"], slice(0, 2))),
                                   half_square(ad.slice_(p["x"], slice(1, 3))),
-                                  half_square(ad.scale(p["x"], 2.0))])
+                                  half_square(ad.add(p["x"], p["x"]))])
 
     def build(st):
         tape = ad.Tape()
@@ -467,7 +486,7 @@ def _fused_node_loss(node, rng):
 
 
 @pytest.mark.parametrize("node", ["quadratic_identity", "quadratic_curved", "max_increase",
-                                  "concat_h", "affine", "mean"])
+                                  "concat_h", "affine", "sub_scaled", "mean"])
 def test_fused_node_gradient_matches_fd(node):
     store, build = _fused_node_loss(node, np.random.default_rng(21))
     check_fd(store, build)

@@ -100,7 +100,7 @@ def test_non_finite_checkpoint_is_config_error(tmp_path, capsys):
     from moograd.ml2o import init_params, save_checkpoint
 
     params = init_params(2, 3, seed=0)
-    params.arrays["head.b"] = params.arrays["head.b"] * np.nan
+    params.arrays["head.b"][...] = np.nan
     ck = str(tmp_path / "nan.json")
     save_checkpoint(params, ck)
     cfg = write_cfg(tmp_path, optimizer={"name": "ml2o", "params": {"checkpoint": ck}})

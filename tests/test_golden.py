@@ -248,15 +248,16 @@ def test_meta_train_bits_match_golden():
 
 def window_digest(problem, rng):
     """Digest of the parameter gradients of one taped 10-step window of an
-    ``init_params(2, 4, 0)`` model on the dim-3 ``problem``."""
-    store = store_from_params(init_params(2, 4, 0))
+    ``init_params(2, 4, 0)`` model on the dim-3 ``problem``, by checkpoint name."""
+    params = init_params(2, 4, 0)
+    store = store_from_params(params)
     tape = ad.Tape()
     leafs = {name: tape.param(store, name) for name in store.names()}
     x = problem.initial_point(rng).reshape(-1, 1)
     mean, _, _ = unroll_window(problem, x, init_state(2, 4, 3), leafs, 10, 0.1,
                                lambda j, xv: problem.sample_gradient(xv, rng))
     ad.backward(tape, mean)
-    return array_digest(store.grads)
+    return array_digest({name: store.grads[name] for name in params.arrays})
 
 
 def curved_pair(rng, dim):

@@ -205,7 +205,7 @@ def test_deterministic_guard_equals_mgda_when_learned_is_worse():
     # gives NaN losses, which must never win
     for head_bias in (50.0, np.nan):
         params = init_params(2, 3, seed=0, scale=0.0)
-        params.arrays["head.b"] = np.array([[head_bias]])
+        params.arrays["head.b"][...] = head_bias
         rec = gml2o_deterministic_run(prob, params, alpha=0.5, steps=20, x0=x0)
         assert all(d.chosen == "fallback" for d in rec.meta["decisions"])
         assert np.array_equal(rec.meta["final_x"], plain.meta["final_x"])

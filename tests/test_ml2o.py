@@ -8,10 +8,8 @@ import pytest
 
 from moograd import autodiff as ad
 from moograd.ml2o import (
+    GATES,
     CheckpointError,
-    Ml2oParams,
-    _fused_cell,
-    cell_array_shapes,
     check_compatible,
     evaluate_meta_loss,
     init_params,
@@ -32,12 +30,15 @@ from moograd.problems import make_quadratic_pair
 def make_cell(seed, in_w, hid, scale=0.5):
     """Per-gate arrays of one cell, keyed wx_i, wh_i, bx_i, bh_i, wx_f, ..."""
     rng = np.random.default_rng(seed)
-    return {n: rng.uniform(-scale, scale, s) for n, s in cell_array_shapes(in_w, hid).items()}
+    shapes = {"wx": (in_w, hid), "wh": (hid, hid), "bx": (1, hid), "bh": (1, hid)}
+    return {f"{kind}_{gate}": rng.uniform(-scale, scale, shape)
+            for gate in GATES for kind, shape in shapes.items()}
 
 
 def cell_update(s, h, c, arrays):
     """One update of the cell through ``ad.lstm`` on its fused arrays; returns (h', c')."""
-    hc = ad.lstm(s, np.stack([h, c]), *_fused_cell(arrays, ""))
+    fuse = lambda kind: np.concatenate([arrays[f"{kind}_{g}"] for g in ad.LSTM_GATES], axis=1)
+    hc = ad.lstm(s, np.stack([h, c]), fuse("wx"), fuse("wh"), fuse("bx") + fuse("bh"))
     return hc[0], hc[1]
 
 
@@ -110,7 +111,7 @@ def test_lstm_cell_matches_scalar_loop():
 
 def test_direction_zero_params_emit_head_bias():
     params = init_params(2, 4, seed=0, scale=0.0)
-    params.arrays["head.b"] = np.array([[0.37]])
+    params.arrays["head.b"][...] = 0.37
     g, _ = ml2o_direction(np.zeros((2, 6)), init_state(2, 4, 6), params)
     assert np.allclose(g, 0.37)
 
@@ -193,6 +194,47 @@ def test_meta_loss_monotone_in_curr():
         assert meta_loss(bumped, prev) >= meta_loss(cur, prev)
 
 
+def test_preprocess_raises_no_float_warning():
+    g = np.array([0.0, -0.0, 1e-320, np.inf, 1e-5])
+    with np.errstate(divide="raise", invalid="raise"):
+        out = preprocess_gradient(g)
+    assert np.array_equal(out[:, 0], [-1.0, -1.0, -1.0, np.inf, -1.0])
+    assert np.array_equal(out[:, 1], [0.0, -0.0, math.exp(10.0) * 1e-320, 1.0,
+                                      math.exp(10.0) * 1e-5])
+
+
+def test_gate_views_edit_the_model_in_place():
+    params = init_params(2, 3, seed=4)
+    y = np.random.default_rng(0).normal(size=(2, 5))
+    g0, _ = ml2o_direction(y, init_state(2, 3, 5), params)
+    twin = params.copy()
+    params.arrays["shared.wx_o"][1, 2] += 1e-3
+    g1, _ = ml2o_direction(y, init_state(2, 3, 5), params)
+    assert not np.array_equal(g0, g1)
+    g_twin, _ = ml2o_direction(y, init_state(2, 3, 5), twin)
+    assert np.array_equal(g_twin, g0)  # the copy shares no storage
+    assert all(np.shares_memory(params.arrays[k], params.fused["shared.wx"])
+               for k in params.arrays if k.startswith("shared.wx_"))
+    with pytest.raises(TypeError):
+        params.arrays["head.b"] = np.zeros((1, 1))
+    with pytest.raises(TypeError):
+        params.fused["head.b"] = np.zeros((1, 1))
+
+
+def test_gate_views_follow_checkpoint_order_and_lstm_columns():
+    params = init_params(2, 3, seed=1)
+    assert list(params.arrays)[:5] == ["specific0.wx_i", "specific0.wh_i", "specific0.bx_i",
+                                      "specific0.bh_i", "specific0.wx_f"]
+    assert list(params.arrays)[-2:] == ["head.w", "head.b"]
+    assert len(params.arrays) == 16 * 3 + 2
+    for gate in GATES:
+        k = ad.LSTM_GATES.index(gate)
+        assert np.array_equal(params.arrays[f"specific1.wh_{gate}"],
+                              params.fused["spec.wh"][1][:, 3 * k : 3 * k + 3])
+        assert np.array_equal(params.arrays[f"shared.bx_{gate}"],
+                              params.fused["shared.bx"][:, 6 * k : 6 * k + 6])
+
+
 def test_preprocess_stack_equals_rows():
     y = np.random.default_rng(1).normal(size=(3, 6)) * np.logspace(-8, 1, 6)
     enc = preprocess_gradient(y)
@@ -216,9 +258,10 @@ def taped_window():
 
 
 def test_unroll_window_records_few_nodes():
-    """68 parameter and fusing nodes, 9 nodes a step and the window mean, no constants."""
+    """10 fused parameter leaves and 2 bias sums, 8 nodes a step and the
+    window mean, no constants: 12 + 8 * 20 + 1."""
     tape, _ = taped_window()
-    assert len(tape.nodes) <= 260
+    assert len(tape.nodes) <= 173
 
 
 def test_dropped_window_tape_is_freed_without_the_cycle_collector():
@@ -294,7 +337,7 @@ def test_checkpoint_corrupt_and_version(tmp_path):
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
-    params.arrays["head.b"] = np.array([[np.nan]])
+    params.arrays["head.b"][...] = np.nan
     save_checkpoint(params, path)
     with pytest.raises(CheckpointError, match="'head.b'.*non-finite"):
         load_checkpoint(path)
