@@ -158,8 +158,11 @@ def add(a, b):
 
 
 def sub_scaled(x, d, alpha):
-    """``x - d * alpha`` for a float ``alpha``: the value and adjoints of
-    ``x - (d * alpha)`` as two nodes, bit for bit."""
+    """``x - d * alpha`` for equal-shape ``x`` and ``d`` and a float ``alpha``.
+
+    Value and adjoints equal, bit for bit, those of a node for ``d * alpha``
+    followed by one for the subtraction.
+    """
     xv, dv, alpha = value(x), value(d), float(alpha)
     _check_elementwise(xv, dv, "sub_scaled")
     return _record((x, d), xv - dv * alpha, lambda g: (g, -g * alpha))
