@@ -386,7 +386,10 @@ def load_checkpoint(path: str) -> Ml2oParams:
         )
     if doc["out_width"] != 1:
         raise CheckpointError(f"field 'out_width': expected 1, found {doc['out_width']}")
-    params = _blank_params(int(doc["m"]), int(doc["hidden"]))
+    m, hidden = int(doc["m"]), int(doc["hidden"])
+    if m < 1 or hidden < 1:
+        raise CheckpointError(f"fields 'm' and 'hidden' must be positive, found {m} and {hidden}")
+    params = _blank_params(m, hidden)
     for name, view in params.arrays.items():
         if name not in doc["arrays"]:
             raise CheckpointError(f"checkpoint missing array {name!r}")

@@ -213,6 +213,7 @@ def test_gate_views_edit_the_model_in_place():
     assert not np.array_equal(g0, g1)
     g_twin, _ = ml2o_direction(y, init_state(2, 3, 5), twin)
     assert np.array_equal(g_twin, g0)  # the copy shares no storage
+    assert not any(np.shares_memory(twin.fused[k], params.fused[k]) for k in params.fused)
     assert all(np.shares_memory(params.arrays[k], params.fused["shared.wx"])
                for k in params.arrays if k.startswith("shared.wx_"))
     with pytest.raises(TypeError):
@@ -351,6 +352,17 @@ def test_checkpoint_rejects_other_out_width(tmp_path):
     doc["out_width"] = 2
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(CheckpointError, match="'out_width'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("m, hidden", [(-1, 3), (2, -3), (0, 3), (2, 0)])
+def test_checkpoint_rejects_non_positive_sizes(tmp_path, m, hidden):
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(init_params(2, 3, seed=0), path)
+    doc = json.load(open(path))
+    doc["m"], doc["hidden"] = m, hidden
+    open(path, "w").write(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="'m' and 'hidden'"):
         load_checkpoint(path)
 
 
