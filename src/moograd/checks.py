@@ -217,7 +217,7 @@ def check_5_dynamic_sampling_monitor(ctx):
         series = theorem_monitor(rec, prob)
         total = series.partial_sums[-1]
         tail = total - series.partial_sums[int(0.9 * len(series)) - 1]
-        best = int(np.argmin([np.max(r.losses) for r in rec.rows]))
+        best = int(np.argmin(np.max(rec.losses, axis=1)))
         crit = criticality_measure(prob, rec.iterates[best + 1])
         if tail < 0.05 * total and crit < 0.05:
             good += 1
@@ -334,11 +334,11 @@ def check_9_guard_invariant(ctx):
             harness.derive_rng(seed, 0, harness.PURPOSE_DRAWS),
         )
         f_prev = prob.eval(x0)
-        for row, dec in zip(rec.rows, rec.meta["decisions"]):
-            chosen_delta = float(np.max(row.losses - f_prev))
+        for losses, dec in zip(rec.losses, rec.meta["decisions"]):
+            chosen_delta = float(np.max(losses - f_prev))
             if chosen_delta > dec.fallback_delta:
                 violations += 1
-            f_prev = row.losses
+            f_prev = losses
             steps_checked += 1
     # mini-batch guarded run and a deterministic guarded run
     prob = make_toy_mtl(seed=31, samples=256, batch=16)
@@ -362,11 +362,11 @@ def check_9_guard_invariant(ctx):
         quad, params_random, 1.0, 200, quad.initial_point(np.random.default_rng(1))
     )
     f_prev = quad.eval(rec.iterates[0])
-    for row, dec in zip(rec.rows, rec.meta["decisions"]):
-        chosen_delta = float(np.max(row.losses - f_prev))
+    for losses, dec in zip(rec.losses, rec.meta["decisions"]):
+        chosen_delta = float(np.max(losses - f_prev))
         if chosen_delta > dec.fallback_delta:
             violations += 1
-        f_prev = row.losses
+        f_prev = losses
         steps_checked += 1
     return violations == 0, f"{violations} violations over {steps_checked} guarded steps"
 
@@ -421,8 +421,7 @@ def check_11_deterministic_guard_convergence(ctx):
         prob = make_quadratic_pair(8, seed=20240110 + seed)  # identity curvature: L = 1
         x0 = prob.initial_point(harness.derive_rng(seed, 0, harness.PURPOSE_INIT))
         rec = gml2o_deterministic_run(prob, params, alpha=1.0, steps=5000, x0=x0)
-        norms = np.array([row.direction_norm for row in rec.rows])
-        hit = np.nonzero(norms < 1e-4)[0]
+        hit = np.nonzero(rec.direction_norms < 1e-4)[0]
         if hit.size:
             good += 1
             worst_k = max(worst_k, int(hit[0]) + 1)
@@ -483,8 +482,7 @@ def check_13_curved_guard_convergence(ctx):
         rec = gml2o_deterministic_run(
             prob, params, alpha=1.0, steps=500, x0=x0, keep_iterates=False
         )
-        norms = np.array([row.direction_norm for row in rec.rows])
-        hit = np.nonzero(norms < 1e-4)[0]
+        hit = np.nonzero(rec.direction_norms < 1e-4)[0]
         if hit.size:
             good += 1
             worst_k = max(worst_k, int(hit[0]) + 1)

@@ -11,8 +11,9 @@ deterministic and independent of each other. All (seed, member) runs of a
 config step together as one (P, N) array through
 ``optimizers.run_population``; each run's CSV is byte-identical to running
 it alone. Outputs are one CSV per run plus a manifest sufficient to re-run
-the experiment exactly; CSV floats carry 17 significant digits and the
-manifest stores a content hash computed with the wall-time column blanked
+the experiment exactly. Each CSV row is one step, formatted from the run's
+trace columns; CSV floats carry 17 significant digits and the manifest
+stores a content hash computed with the wall-time column blanked
 (timestamps are excluded from determinism checks).
 """
 
@@ -46,7 +47,7 @@ from .ml2o import (
 )
 from .problems import _REGISTRY as _PROBLEMS
 from .problems import make_problem
-from .trace import RunRecord
+from .trace import GUARD_CHOICES, RunRecord
 
 SCHEMA_VERSION = 1
 PURPOSE_INIT, PURPOSE_DRAWS, PURPOSE_GUARD = 0, 1, 2
@@ -227,20 +228,17 @@ def _csv_lines(record: RunRecord, m: int) -> list[str]:
     )
     # one %-format per row: "%.17g" % v is format(v, ".17g"), "%d" and "%s" of an int are str()
     row_format = "%d," + "%.17g," * (m + 2) + "%s,%s,%.6g"
+    columns = zip(
+        record.losses.tolist(),
+        record.direction_norms.tolist(),
+        record.alphas.tolist(),
+        record.n_samples.tolist(),
+        record.guard_codes.tolist(),
+        record.wall_times.tolist(),
+    )
     lines = [",".join(header)]
-    for row in record.rows:
-        lines.append(
-            row_format
-            % (
-                row.k,
-                *row.losses,
-                row.direction_norm,
-                row.alpha,
-                "" if row.n_samples is None else row.n_samples,
-                "" if row.guard_choice is None else row.guard_choice,
-                row.wall_time,
-            )
-        )
+    for k, (losses, norm, alpha, n, code, wall) in enumerate(columns, start=1):
+        lines.append(row_format % (k, *losses, norm, alpha, n or "", GUARD_CHOICES[code], wall))
     return lines
 
 
@@ -341,7 +339,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
                     "seed": res.seed,
                     "member": res.member,
                     "file": stem + ".csv",
-                    "rows": len(res.record.rows),
+                    "rows": res.record.steps,
                     "content_hash": csv_content_hash(lines),
                     "final_losses": [float(v) for v in res.record.final_losses],
                     "final_x": [float(v) for v in res.record.meta["final_x"]],

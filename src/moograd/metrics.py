@@ -116,14 +116,13 @@ def theorem_monitor(run: RunRecord, problem, tol: float = 1e-10) -> MonitorSerie
     """Recompute exact criticality along a recorded run and accumulate
     the step-size-weighted partial sums (the quantity the convergence
     results bound)."""
-    if not run.rows:
+    if not run.steps:
         return MonitorSeries(np.array([], dtype=int), np.array([]), np.array([]), np.array([]))
-    if len(run.iterates) != len(run.rows) + 1:
+    if len(run.iterates) != run.steps + 1:
         raise ValueError("run must carry its iterate sequence for monitoring")
-    ks = np.array([row.k for row in run.rows])
-    alphas = np.array([row.alpha for row in run.rows])
-    crit_sq = np.empty(len(run.rows))
-    for i, row in enumerate(run.rows):
+    ks = np.arange(1, run.steps + 1)
+    crit_sq = np.empty(run.steps)
+    for i in range(run.steps):
         crit = criticality_measure(problem, run.iterates[i], tol=tol)
         crit_sq[i] = crit * crit
-    return MonitorSeries(ks, alphas, crit_sq, np.cumsum(alphas * crit_sq))
+    return MonitorSeries(ks, run.alphas, crit_sq, np.cumsum(run.alphas * crit_sq))

@@ -8,8 +8,10 @@ draw count of the step (None for exact gradients) and each row's min-norm
 solve flag. Row p draws from ``rngs[p]`` only and keeps its optimizer state
 (momentum, tracking variables, recurrent state) in ``memory``, a dict the
 driver owns for one run. A step's keyword-only parameters are its config
-hyperparameters. ``run_population`` drives a step and records one trace per
-row; ``run_steps`` is its one-row case.
+hyperparameters. ``run_population`` drives a step and records the run as
+per-step columns, one population-wide array each (see ``trace``), so no
+Python object is made per (row, step) apart from a guarded step's
+decisions; ``run_steps`` is its one-row case.
 
 MGDA and its stochastic counterparts step along the min-norm common-descent
 direction; the dynamic-sampling variant averages a growing number of
@@ -29,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .minnorm import solve_min_norm_many
-from .trace import RunRecord, StepRow
+from .trace import GUARD_CHOICES, RunRecord
 
 
 @dataclass(frozen=True)
@@ -218,40 +220,54 @@ def run_population(
 ) -> list[RunRecord]:
     """Run ``steps`` iterations of ``step`` from every row of ``xs0`` (P, N).
 
-    Returns one record per row. Each row of step k holds the losses at the
-    new iterate: the driver evaluates them with one ``eval_many`` per step,
-    except for a guarded step, which returns three more things, ``(losses,
-    decisions, evals)``: the losses it already computed for its chosen
-    points, one ``GuardDecision`` per row (kept in ``meta["decisions"]``)
-    and the number of evaluations per row it made. ``meta["eval_count"]``
-    counts evaluations per run and ``meta["nonconverged_solves"]`` the steps
-    whose min-norm solve reported ``converged=False``. Every member's row of
-    step k holds the wall time of the whole population step k.
+    Returns one record per row, whose columns are views of population-wide
+    arrays filled as the run steps: ``losses`` (P, K, M), ``direction_norms``
+    and ``guard_codes`` (P, K), and the step-wide ``alphas``, ``n_samples``
+    and ``wall_times`` (K,), which every record shares. Step k's losses are
+    those at the new iterate: the driver evaluates them with one
+    ``eval_many`` per step, except for a guarded step, which returns three
+    more things, ``(losses, decisions, evals)``: the losses it already
+    computed for its chosen points, one ``GuardDecision`` per row (kept in
+    ``meta["decisions"]``) and the number of evaluations per row it made.
+    ``meta["eval_count"]`` counts evaluations per run and
+    ``meta["nonconverged_solves"]`` the steps whose min-norm solve reported
+    ``converged=False``. Step k's wall time is that of the whole population
+    step k.
     """
     xs = np.array(xs0, dtype=np.float64)
-    records = [RunRecord(meta={"eval_count": 0, "nonconverged_solves": 0}) for _ in xs]
+    size = len(xs)
+    losses = np.empty((size, steps, problem.objectives))
+    norms = np.empty((size, steps))
+    codes = np.zeros((size, steps), dtype=np.int8)
+    alphas, walls = np.empty(steps), np.empty(steps)
+    n_samples = np.zeros(steps, dtype=np.int64)
+    records = [
+        RunRecord(losses[p], norms[p], alphas, n_samples, codes[p], walls,
+                  meta={"eval_count": 0, "nonconverged_solves": 0})
+        for p in range(size)
+    ]
     if keep_iterates:
         for record, x in zip(records, xs):
             record.iterates.append(x.copy())
     memory: dict = {}
-    nonconverged = np.zeros(len(xs), dtype=np.int64)
+    nonconverged = np.zeros(size, dtype=np.int64)
     evals = 0
-    for k in range(1, steps + 1):
+    for i in range(steps):
+        k = i + 1
         t0 = time.perf_counter()
         alpha = schedule.at(k)
-        xs, norms, n, converged, *guarded = step(problem, xs, k, alpha, rngs, memory)
+        xs, norms[:, i], n, converged, *guarded = step(problem, xs, k, alpha, rngs, memory)
         if guarded:
-            losses, decisions, step_evals = guarded
-            choices = [d.chosen for d in decisions]
+            losses[:, i], decisions, step_evals = guarded
+            codes[:, i] = [GUARD_CHOICES.index(d.chosen) for d in decisions]
             for record, decision in zip(records, decisions):
                 record.meta.setdefault("decisions", []).append(decision)
         else:
-            losses, choices, step_evals = problem.eval_many(xs), [None] * len(xs), 1
+            losses[:, i], step_evals = problem.eval_many(xs), 1
+        alphas[i], n_samples[i] = alpha, n or 0
         evals += step_evals
         nonconverged += ~converged
-        wall = time.perf_counter() - t0
-        for record, f, norm, choice in zip(records, losses, norms.tolist(), choices):
-            record.rows.append(StepRow(k, f, norm, alpha, n, choice, wall))
+        walls[i] = time.perf_counter() - t0
         if keep_iterates:
             for record, x in zip(records, xs):
                 record.iterates.append(x.copy())

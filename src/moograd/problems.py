@@ -141,7 +141,8 @@ class QuadraticPair(MooProblem):
         noise = np.empty((len(jac), n) + jac.shape[1:])
         for buf, rng in zip(noise, rngs):
             rng.standard_normal(out=buf)
-        return jac + self.noise_sigma * noise.mean(axis=1)
+        # a one-draw mean is the draw itself, bit for bit
+        return jac + self.noise_sigma * (noise[:, 0] if n == 1 else noise.mean(axis=1))
 
     def eval_many(self, xs) -> np.ndarray:
         d, q = self._slopes(xs)

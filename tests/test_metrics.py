@@ -13,7 +13,7 @@ from moograd.metrics import (
 )
 from moograd.optimizers import StepSchedule, mgda_step, run_steps
 from moograd.problems import QuadraticPair, make_quadratic_pair
-from moograd.trace import RunRecord, StepRow
+from moograd.trace import RunRecord
 
 
 def test_dominates_basics():
@@ -132,16 +132,26 @@ def test_front_reference_margin():
     assert np.all(ref > 1.0)
 
 
+def constant_record(losses, alpha, steps, iterates):
+    """A record of ``steps`` steps, each with the same losses and step size."""
+    return RunRecord(
+        losses=np.tile(losses, (steps, 1)),
+        direction_norms=np.zeros(steps),
+        alphas=np.full(steps, alpha),
+        n_samples=np.zeros(steps, dtype=np.int64),
+        guard_codes=np.zeros(steps, dtype=np.int8),
+        wall_times=np.zeros(steps),
+        iterates=iterates,
+    )
+
+
 def test_theorem_monitor_empty_and_critical():
     prob = QuadraticPair([0.0, 0.0], [1.0, 0.0])
-    empty = theorem_monitor(RunRecord(), prob)
+    empty = theorem_monitor(constant_record(np.zeros(2), 0.1, 0, []), prob)
     assert len(empty) == 0
     # run stuck at a Pareto critical point
     x = np.array([0.5, 0.0])
-    rec = RunRecord(
-        rows=[StepRow(k=i + 1, losses=prob.eval(x), direction_norm=0.0, alpha=0.1) for i in range(3)],
-        iterates=[x.copy() for _ in range(4)],
-    )
+    rec = constant_record(prob.eval(x), 0.1, 3, [x.copy() for _ in range(4)])
     series = theorem_monitor(rec, prob)
     assert np.allclose(series.criticality_sq, 0.0, atol=1e-16)
     assert np.allclose(series.partial_sums, 0.0, atol=1e-16)

@@ -1,10 +1,13 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
+from moograd.guard import _guarded_loop
 from moograd.harness import validate_run_config
 from moograd.minnorm import solve_min_norm
+from moograd.ml2o import init_params
 from moograd.optimizers import (
     SampleSchedule,
     StepSchedule,
@@ -257,11 +260,13 @@ def test_run_steps_trace_and_determinism():
         return run_steps(prob, partial(dssmg_step, samples=samp), x0, 30, sched, rng)
 
     a, b = once(), once()
-    assert [r.k for r in a.rows] == list(range(1, 31))
+    assert a.steps == 30 and a.losses.shape == (30, 2)
     assert len(a.iterates) == 31
     a.validate()
-    for ra, rb in zip(a.rows, b.rows):
-        assert np.array_equal(ra.losses, rb.losses)
+    a.iterates.pop()
+    with pytest.raises(ValueError, match="iterates"):
+        a.validate()
+    assert np.array_equal(a.losses, b.losses)
     assert np.array_equal(a.meta["final_x"], b.meta["final_x"])
     assert a.meta["eval_count"] == 30
 
@@ -287,6 +292,12 @@ def point_reference(prob, method, x0, steps, sched, samp, rng):
         x = x + sched.at(k) * sol.descent_direction
         rows.append((k, prob.eval(x), float(np.linalg.norm(sol.combined)), sched.at(k), n))
     return rows, x
+
+
+def assert_same_columns(a, b):
+    """Every column but the wall times is equal bit for bit."""
+    for name in ("losses", "direction_norms", "alphas", "n_samples", "guard_codes"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 @pytest.mark.parametrize("method", sorted(POINT_STEPS))
@@ -317,6 +328,7 @@ def test_run_population_matches_run_steps_per_member(method, factory):
     records = run_population(prob, step, x0s, 7, sched, [np.random.default_rng(p) for p in range(5)])
     for p, rec in enumerate(records):
         alone = run_steps(prob, step, x0s[p], 7, sched, np.random.default_rng(p), keep_iterates=False)
+        assert_same_columns(rec, alone)
         ref_rows, ref_x = point_reference(prob, method, x0s[p], 7, sched, samp, np.random.default_rng(p))
         for got in (rec, alone):
             assert len(got.rows) == len(ref_rows)
@@ -327,3 +339,63 @@ def test_run_population_matches_run_steps_per_member(method, factory):
             assert np.array_equal(got.meta["final_x"], ref_x)
             assert got.meta["eval_count"] == 7
             assert got.meta["nonconverged_solves"] == 0
+
+
+def recording(step, problem, returned):
+    """``step``, appending to ``returned`` each call's (k, alpha, norms, n, losses, choices)."""
+
+    def call(prob, xs, k, alpha, rngs, memory):
+        xs, norms, n, converged, *guarded = step(prob, xs, k, alpha, rngs, memory)
+        if guarded:
+            losses, choices = guarded[0], [d.chosen for d in guarded[1]]
+        else:
+            losses, choices = problem.eval_many(xs), [None] * len(xs)
+        returned.append((k, alpha, norms.copy(), n, losses.copy(), choices))
+        return (xs, norms, n, converged, *guarded)
+
+    return call
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["plain", "guarded"])
+def test_rows_hold_each_steps_values(guarded):
+    prob = make_quadratic_pair(4, seed=6, noise_sigma=0.3)
+    sched, samp = StepSchedule("harmonic", 0.5), SampleSchedule(2, 0.5)
+    x0s = np.random.default_rng(7).normal(scale=0.5, size=(3, prob.dim))
+    if guarded:
+        step = partial(_guarded_loop, model=init_params(2, 4, seed=1), samples=samp)
+    else:
+        step = partial(dssmg_step, samples=samp)
+    returned = []
+    records = run_population(prob, recording(step, prob, returned), x0s, 9, sched,
+                             [np.random.default_rng(p) for p in range(3)])
+    for p, rec in enumerate(records):
+        rec.validate()
+        assert len(rec.rows) == rec.steps == 9
+        for row, (k, alpha, norms, n, losses, choices), wall in zip(rec.rows, returned,
+                                                                   rec.wall_times.tolist()):
+            assert (row.k, row.alpha, row.n_samples, row.guard_choice) == (k, alpha, n, choices[p])
+            assert row.direction_norm == norms[p]
+            assert np.array_equal(row.losses, losses[p])
+            assert row.wall_time == wall > 0.0
+        if guarded:
+            assert [row.guard_choice for row in rec.rows] == [d.chosen for d in rec.meta["decisions"]]
+            alone = run_steps(prob, step, x0s[p], 9, sched, np.random.default_rng(p), keep_iterates=False)
+            assert_same_columns(rec, alone)
+    if guarded:
+        assert {row.guard_choice for rec in records for row in rec.rows} == {"fallback", "learned"}
+
+
+def test_population_trace_holds_no_object_per_member_step():
+    # 400 members x 100 steps; one StepRow per member-step held 11.6 MiB
+    prob = make_quadratic_pair(8, seed=3, noise_sigma=0.5)
+    x0s = np.random.default_rng(0).uniform(-1.0, 1.0, (400, prob.dim))
+    rngs = [np.random.default_rng(p) for p in range(400)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = run_population(prob, smg_step, x0s, 100, StepSchedule("constant", 0.5), rngs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * 2**20, f"{held / 2**20:.2f} MiB held"
+    assert len(records) == 400 and records[-1].losses.shape == (100, 2)
