@@ -1,5 +1,5 @@
 """Pinned CSV content hashes for every optimizer on tiny population configs,
-and pinned bits of meta-training.
+pinned bits of meta-training, and pinned bits of the M = 2 min-norm solve.
 
 The hashes are literal: a change to a run driver, an oracle, the solver or
 the tape that moves a single CSV byte (the wall-time column excluded) or a
@@ -16,6 +16,7 @@ import pytest
 
 from moograd import autodiff as ad
 from moograd.harness import run_experiment
+from moograd.minnorm import solve_min_norm
 from moograd.ml2o import (
     init_params,
     init_state,
@@ -26,6 +27,7 @@ from moograd.ml2o import (
     unroll_window,
 )
 from moograd.problems import QuadraticPair, make_quadratic_pair
+from test_minnorm import SOLUTION_FIELDS, hard_battery
 
 QUADRATIC = {"name": "quadratic_pair", "params": {"dim": 3, "seed": 5, "noise_sigma": 0.2}}
 TOY_MTL = {
@@ -279,4 +281,28 @@ def test_curved_quadratic_bits_match_golden():
                             window=10, meta_lr=0.05, epochs=10, seed=3, alpha=0.2)
     assert array_digest(trained.arrays) == (
         "ce73bc4bdafe2a449b5517d4fd137b09e7325fa6f873648e192a6c334c061178"
+    )
+
+
+def two_objective_solves():
+    """Criterion 1's M = 2 instances, then the M = 2 entries of ``hard_battery(17)``
+    at the scales of the hard-battery tests, each with its ``tol``."""
+    rng = np.random.default_rng(20240001)
+    for _ in range(1000):
+        yield rng.uniform(-1, 1, size=(2, int(rng.integers(1, 11)))), 1e-10
+    for scale in (1e-6, 1.0, 1e6):
+        for w in hard_battery(17):
+            if w.shape[0] == 2:
+                yield w * np.sqrt(scale), 1e-10 * scale
+
+
+def test_two_objective_min_norm_bits_match_golden():
+    """Every field of every M = 2 ``solve_min_norm`` above, bit for bit."""
+    h = hashlib.sha256()
+    for w, tol in two_objective_solves():
+        sol = solve_min_norm(w, tol=tol)
+        for name in SOLUTION_FIELDS:
+            h.update(np.asarray(getattr(sol, name)).tobytes())
+    assert h.hexdigest() == (
+        "acd384acf5cdf47f4d63dad2921a67fb1494f5f0b738173ed983653fd92c6cd8"
     )
