@@ -52,7 +52,7 @@ def as_tensor(x, name: str = "tensor", check_finite: bool = True) -> np.ndarray:
 
 
 def all_finite(x) -> bool:
-    return bool(np.all(np.isfinite(x)))
+    return bool(np.isfinite(x).all())
 
 
 class TapeNode:

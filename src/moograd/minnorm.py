@@ -3,7 +3,11 @@
 Given a stack of per-objective gradient rows W (M x N), solve
 ``min_{lam in simplex} |W' lam|^2`` exactly with an active-set method on the
 M x M Gram matrix, in the style of Wolfe's min-norm-point algorithm (Wolfe
-1976, "Finding the nearest point in a polytope"). ``combined`` is ``W' lam``
+1976, "Finding the nearest point in a polytope"). The solve runs on Python
+floats from the Gram's ``tolist()`` to the weights: the affine minimiser of
+two vertices is the closed form of the edge, that of more is Gaussian
+elimination without pivoting, which gives up (None) on a pivot that is not
+positive; numpy only forms the Gram and ``W' lam``. ``combined`` is ``W' lam``
 (the convex combination of the rows); ``descent_direction`` is its negation,
 and every optimizer in this package updates
 ``x <- x + alpha * descent_direction``.
@@ -61,7 +65,10 @@ def _affine_minimizer(gram, active):
     multiplier eliminated: relative to the base row ``a = active[0]`` the
     offsets ``t`` solve ``D t = G_aa - G_ia`` with
     ``D_ij = G_ij - G_ia - G_aj + G_aa``, which is positive definite while the
-    active rows are affinely independent. Returns None when they are not.
+    active rows are affinely independent. Two vertices take the closed form
+    of the edge; more take Gaussian elimination without pivoting, on Python
+    floats. Returns None when a pivot (the edge's denominator included) is
+    not positive.
     """
     a = active[0]
     if len(active) == 1:
@@ -75,11 +82,25 @@ def _affine_minimizer(gram, active):
         t = (gaa - gram[a][b]) / denom
         return [1.0 - t, t]
     rest = active[1:]
-    d = [[gram[i][j] - gram[i][a] - gram[a][j] + gaa for j in rest] for i in rest]
-    try:
-        t = np.linalg.solve(d, [gaa - gram[i][a] for i in rest]).tolist()
-    except np.linalg.LinAlgError:
-        return None
+    n = len(rest)
+    # the rows of [D | G_aa - G_ia]
+    d = [[gram[i][j] - gram[i][a] - gram[a][j] + gaa for j in rest] + [gaa - gram[i][a]]
+         for i in rest]
+    for k, dk in enumerate(d):
+        piv = dk[k]
+        if not piv > 0.0:
+            return None
+        for di in d[k + 1:]:
+            f = di[k] / piv
+            for j in range(k + 1, n + 1):
+                di[j] -= f * dk[j]
+    t = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        dk = d[k]
+        s = dk[n]
+        for j in range(k + 1, n):
+            s -= dk[j] * t[j]
+        t[k] = s / dk[k]
     return [1.0 - sum(t)] + t
 
 
@@ -91,19 +112,25 @@ def _active_set(gram, tol, max_iter):
     with the smallest ``(G lam)_j`` and moves to the affine minimiser of the
     active set; minor iterations step back along the segment to the first
     weight that reaches zero and drop it. Stops when the gap is at most
-    ``tol``, after ``max_iter`` major iterations, or when a major iteration no
-    longer lowers the objective (the working precision is reached).
-    Returns ``(lam, lam' G lam, gap, iterations)``.
+    ``tol``, after ``max_iter`` major iterations, or at the limit of working
+    precision: when the chosen vertex is already active, or a major iteration
+    no longer lowers the objective. ``G lam`` is summed row by row in active
+    order, starting from the integer 0. Returns ``(lam, lam' G lam, gap,
+    iterations)`` with ``lam`` a list.
     """
     m = len(gram)
-    j = min(range(m), key=lambda i: gram[i][i])
+    diag = [gram[i][i] for i in range(m)]
+    j = diag.index(min(diag))
     active, weights = [j], [1.0]
     g = gram[j]  # G lam, by symmetry of G
     obj = g[j]
     it = 0
     for it in range(1, max_iter + 1):
-        j = min(range(m), key=g.__getitem__)
-        if 2.0 * (obj - g[j]) <= tol:
+        g_min = min(g)
+        if 2.0 * (obj - g_min) <= tol:
+            break
+        j = g.index(g_min)
+        if j in active:
             break
         cand, cur = active + [j], weights + [0.0]
         while True:
@@ -121,13 +148,18 @@ def _active_set(gram, tol, max_iter):
             cur = [c for c in cur if c > 0.0]
         if x is None:
             break
-        g_new = [sum(gram[i][k] * v for i, v in zip(cand, x)) for k in range(m)]
-        obj_new = sum(g_new[i] * v for i, v in zip(cand, x))
+        g_new = [0] * m
+        for i, v in zip(cand, x):
+            g_new = [s + r * v for s, r in zip(g_new, gram[i])]
+        obj_new = 0
+        for i, v in zip(cand, x):
+            obj_new += g_new[i] * v
         if not obj_new < obj:
             break
         active, weights, g, obj = cand, x, g_new, obj_new
-    lam = np.zeros(m)
-    lam[active] = weights
+    lam = [0.0] * m
+    for i, v in zip(active, weights):
+        lam[i] = v
     return lam, obj, 2.0 * (obj - min(g)), it
 
 
@@ -142,6 +174,7 @@ def solve_min_norm(w, tol: float = 1e-10, max_iter: int | None = None) -> MinNor
     w = validate_gradient_matrix(w)
     tol, max_iter = _solver_limits(tol, max_iter, w.shape[0])
     lam, obj, gap, iters = _active_set((w @ w.T).tolist(), tol, max_iter)
+    lam = np.array(lam)
     combined = w.T @ lam
     return MinNormSolution(
         weights=lam,
@@ -161,10 +194,13 @@ def _two_vertex_steps(gram, tol, max_iter):
     ``tol``, move to the affine minimiser of the edge ``[a, b]`` in closed
     form. Every float operation is the one ``_active_set`` and
     ``_affine_minimizer`` make on Python floats, in the same order
-    (``sum`` over two products is ``(0.0 + p) + q``), so a certified row
-    equals the scalar solve bit for bit. Returns ``(certified, lam, obj,
-    gap, iterations)``; a row is certified when its gap is at most ``tol``
-    after the vertex or after the edge step. The other rows (a non-positive
+    (``_active_set`` sums ``G lam`` as a running sum of Gram rows scaled by
+    the weights in active order, from the integer 0, so entry k of the edge
+    is ``(0.0 + G_ak x_a) + G_bk x_b``, and ``lam' G lam`` likewise), so a
+    certified row equals the scalar solve bit for bit. Returns
+    ``(certified, lam, obj, gap, iterations)``; a row is certified when its
+    gap is at most ``tol`` after the vertex or after the edge step. The other
+    rows (a non-positive
     edge denominator, an edge weight that is not positive, no decrease, a
     gap still above ``tol``, or ``max_iter`` < 2) hold no result.
     """
