@@ -131,52 +131,6 @@ def test_every_solve_converges_on_hard_battery(scale):
         assert np.allclose(sol.combined, w.T @ sol.weights, rtol=1e-12, atol=1e-14 * np.sqrt(scale))
 
 
-def assert_on_simplex_and_consistent(w, sol):
-    """Weights on the simplex, ``combined`` is ``W' lam`` and ``dual_norm_sq`` its
-    squared norm, within 1e-12 of the Gram's scale: converged or not."""
-    lam = sol.weights
-    assert lam.min() >= 0.0 and abs(lam.sum() - 1.0) <= 1e-12, lam
-    comb = w.T @ lam
-    assert np.array_equal(sol.combined, comb)
-    scale = float(np.abs(w @ w.T).max())
-    assert abs(sol.dual_norm_sq - float(comb @ comb)) <= 1e-12 * scale, (sol.dual_norm_sq, comb)
-
-
-# At the limit of working precision the smallest (G lam)_j of this pair is
-# that of an active vertex. Adding it a second time split its weight in two
-# and kept one half: weights summing to 0.86, reported as converged.
-READDED_VERTEX = np.array([
-    [259.9207553754986, -523.8385106619295, -286.4275371707645, 749.7949364040658],
-    [-378.1541400179841, 918.6269873792338, 150.68930302951892, 187.11794902303745],
-])
-
-
-def test_an_active_vertex_is_not_added_again(monkeypatch):
-    w = READDED_VERTEX
-    sol = solve_min_norm(w)
-    assert_on_simplex_and_consistent(w, sol)
-    assert np.allclose(sol.weights, min_norm_2obj_oracle(w[0], w[1]), rtol=0.0, atol=1e-12)
-    assert sol.gap > 1e-10 and not sol.converged
-    one = solve_min_norm_many(w[None])
-    for name in SOLUTION_FIELDS:
-        assert np.array_equal(getattr(one, name)[0], getattr(sol, name)), name
-    assert stacked_handoffs(monkeypatch, np.stack([w, w])) == 2
-
-
-@pytest.mark.parametrize("m", range(2, 9))
-def test_weights_stay_on_the_simplex_on_scaled_stacks(m):
-    """Random stacks over six decades of scale, every third with a near-duplicate
-    last row: every solve returns consistent weights on the simplex."""
-    rng = np.random.default_rng([0, m])
-    for s in range(3000):
-        n = int(rng.integers(1, 12))
-        w = rng.normal(size=(m, n))
-        if s % 3 == 2:
-            w[-1] = w[0] + 10.0 ** rng.uniform(-12, -4) * rng.normal(size=n)
-        w *= 10.0 ** rng.uniform(-3, 3)
-        assert_on_simplex_and_consistent(w, solve_min_norm(w))
-
-
 SOLUTION_FIELDS = (
     "weights", "combined", "descent_direction", "dual_norm_sq", "gap", "iterations", "converged"
 )
@@ -232,6 +186,52 @@ def test_solve_min_norm_many_matches_scalar_solve_on_hard_battery(monkeypatch, s
         by_shape.setdefault(w.shape, []).append(w)
     for ws in by_shape.values():
         stacked_handoffs(monkeypatch, np.stack(ws), tol=1e-10 * scale)
+
+
+def assert_on_simplex_and_consistent(w, sol):
+    """Weights on the simplex, ``combined`` is ``W' lam`` and ``dual_norm_sq`` its
+    squared norm, within 1e-12 of the Gram's scale: converged or not."""
+    lam = sol.weights
+    assert lam.min() >= 0.0 and abs(lam.sum() - 1.0) <= 1e-12, lam
+    comb = w.T @ lam
+    assert np.array_equal(sol.combined, comb)
+    scale = float(np.abs(w @ w.T).max())
+    assert abs(sol.dual_norm_sq - float(comb @ comb)) <= 1e-12 * scale, (sol.dual_norm_sq, comb)
+
+
+# At the limit of working precision the smallest (G lam)_j of this pair is
+# that of an active vertex. Adding it a second time split its weight in two
+# and kept one half: weights summing to 0.86, reported as converged.
+READDED_VERTEX = np.array([
+    [259.9207553754986, -523.8385106619295, -286.4275371707645, 749.7949364040658],
+    [-378.1541400179841, 918.6269873792338, 150.68930302951892, 187.11794902303745],
+])
+
+
+def test_an_active_vertex_is_not_added_again(monkeypatch):
+    w = READDED_VERTEX
+    sol = solve_min_norm(w)
+    assert_on_simplex_and_consistent(w, sol)
+    assert np.allclose(sol.weights, min_norm_2obj_oracle(w[0], w[1]), rtol=0.0, atol=1e-12)
+    assert sol.gap > 1e-10 and not sol.converged
+    one = solve_min_norm_many(w[None])
+    for name in SOLUTION_FIELDS:
+        assert np.array_equal(getattr(one, name)[0], getattr(sol, name)), name
+    assert stacked_handoffs(monkeypatch, np.stack([w, w])) == 2
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_weights_stay_on_the_simplex_on_scaled_stacks(m):
+    """Random stacks over six decades of scale, every third with a near-duplicate
+    last row: every solve returns consistent weights on the simplex."""
+    rng = np.random.default_rng([0, m])
+    for s in range(3000):
+        n = int(rng.integers(1, 12))
+        w = rng.normal(size=(m, n))
+        if s % 3 == 2:
+            w[-1] = w[0] + 10.0 ** rng.uniform(-12, -4) * rng.normal(size=n)
+        w *= 10.0 ** rng.uniform(-3, 3)
+        assert_on_simplex_and_consistent(w, solve_min_norm(w))
 
 
 def test_one_row_stack_is_one_scalar_solve(monkeypatch):
