@@ -1,19 +1,19 @@
 """Dense float64 array math with a minimal reverse-mode tape.
 
 All tensors are row-major ``numpy.float64`` arrays. The primitive set is
-fixed to what the recurrent optimizer and its training loss need:
+fixed to what the recurrent optimizer and its training loss need, six
+primitives in all:
 
-- add (the LSTM bias ``bx + bh``) and slice;
-- one fused LSTM cell, :func:`lstm`;
-- the shared cell's input, :func:`concat_h`, and the head, :func:`affine`;
+- one fused LSTM cell, :func:`lstm`, which sums its two bias rows itself;
+- the shared cell's input, :func:`concat_h`, and the head, :func:`head`;
 - the iterate update ``x - d * alpha``, :func:`sub_scaled`;
-- the training loss: :func:`quadratic_losses`, :func:`max_increase` (the
-  worst per-objective increase) and :func:`mean` (the window mean).
+- the training loss: :func:`quadratic_losses` and :func:`window_loss` (the
+  window mean of the worst per-objective increase).
 
-Each node of the last three items runs exactly the float operations, in the
-same order, of the chain of elementwise products, matrix products and sums
-it replaces, so its value and adjoints are those of the chain bit for bit.
-Every primitive accepts either plain arrays (untaped, fast path) or
+Each node of the last four items runs exactly the float operations, in the
+same order, of the chain of slices, elementwise products, matrix products
+and sums it replaces, so its value and adjoints are those of the chain bit
+for bit. Every primitive accepts either plain arrays (untaped, fast path) or
 :class:`Var` handles bound to a :class:`Tape`. Plain arrays among taped
 operands are constants: they get no node, and :func:`backward` skips them.
 
@@ -24,7 +24,7 @@ reverse and knows no primitive. No closure holds a :class:`Var`: that would
 make a cycle (tape, node, closure, Var, tape), and every dropped tape would
 then wait for the cycle collector.
 
-Elementwise ops require equal shapes; only :func:`affine` broadcasts its
+Elementwise ops require equal shapes; only :func:`head` broadcasts its
 ``(1, out)`` bias row.
 """
 
@@ -146,17 +146,6 @@ def _record(inputs, out: np.ndarray, backward):
     return tape._append(tuple(ids), out, backward)
 
 
-def _check_elementwise(a: np.ndarray, b: np.ndarray, kind: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{kind}: incompatible shapes {a.shape} and {b.shape}")
-
-
-def add(a, b):
-    x, y = value(a), value(b)
-    _check_elementwise(x, y, "add")
-    return _record((a, b), x + y, lambda g: (g, g))
-
-
 def sub_scaled(x, d, alpha):
     """``x - d * alpha`` for equal-shape ``x`` and ``d`` and a float ``alpha``.
 
@@ -164,29 +153,31 @@ def sub_scaled(x, d, alpha):
     followed by one for the subtraction.
     """
     xv, dv, alpha = value(x), value(d), float(alpha)
-    _check_elementwise(xv, dv, "sub_scaled")
+    if xv.shape != dv.shape:
+        raise ShapeError(f"sub_scaled: incompatible shapes {xv.shape} and {dv.shape}")
     return _record((x, d), xv - dv * alpha, lambda g: (g, -g * alpha))
 
 
-def affine(x, w, b):
-    """``x w + b`` for an (N, K) ``x``, a (K, out) ``w`` and a (1, out) bias row."""
-    xv, wv, bv = value(x), value(w), value(b)
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != (1, wv.shape[1]):
-        raise ShapeError(f"affine: incompatible shapes {xv.shape}, {wv.shape} and {bv.shape}")
-    return _record((x, w, b), xv @ wv + bv,
-                   lambda g: (g @ wv.T, xv.T @ g, g.sum(axis=0, keepdims=True)))
+def head(hc, w, b):
+    """``hc[0] w + b``: the h half of a (2, N, K) state times a (K, out) ``w``
+    plus a (1, out) bias row.
 
-
-def slice_(a, key):
-    """``a[key]`` for any basic-indexing key."""
-    x = value(a)
+    Value and adjoints equal, bit for bit, those of a node for the slice
+    ``hc[0]`` followed by one for the affine map; ``hc``'s adjoint is zero in
+    its c half.
+    """
+    hv, wv, bv = value(hc), value(w), value(b)
+    if hv.ndim != 3 or hv.shape[0] != 2 or wv.ndim != 2 or hv.shape[2] != wv.shape[0] \
+            or bv.shape != (1, wv.shape[1]):
+        raise ShapeError(f"head: incompatible shapes {hv.shape}, {wv.shape} and {bv.shape}")
+    h = hv[0]
 
     def backward(g):
-        dx = np.zeros(x.shape)
-        dx[key] = g
-        return (dx,)
+        dhc = np.zeros(hv.shape)
+        dhc[0] = g @ wv.T
+        return dhc, h.T @ g, g.sum(axis=0, keepdims=True)
 
-    return _record((a,), np.asarray(x[key], dtype=np.float64), backward)
+    return _record((hc, w, b), h @ wv + bv, backward)
 
 
 def concat_h(hc):
@@ -234,33 +225,39 @@ def quadratic_losses(x, centers, mats=None):
     return _record((x,) * len(ds), out, backward)
 
 
-def max_increase(curr, prev):
-    """``max_i(curr_i - prev_i)`` of two (M,) vectors; its adjoint goes to the lowest-index maximum."""
-    c, p = value(curr), value(prev)
-    if c.ndim != 1 or c.shape != p.shape:
-        raise ShapeError(f"max_increase: incompatible shapes {c.shape} and {p.shape}")
-    diff = c - p
-    arg, m = int(np.argmax(diff)), c.size
+def window_loss(fs):
+    """The window mean of ``max_i(f_k,i - f_{k-1},i)`` over the (M,) losses ``f_0, ..., f_K``.
+
+    Step k's worst increase ``d_k`` is taken at its lowest-index maximum
+    ``a_k``; the mean is ``d_1 + ... + d_K`` summed from left to right, times
+    ``1 / K``. The adjoint of ``f_k`` is ``-g / K`` at ``a_{k+1}`` plus
+    ``g / K`` at ``a_k``, summed as a sweep over one node per step's increase
+    and one for the mean would sum them.
+    """
+    fs = tuple(fs)
+    vals = [value(f) for f in fs]
+    shape = vals[0].shape
+    if len(vals) < 2 or len(shape) != 1 or any(v.shape != shape for v in vals):
+        raise ShapeError(f"window_loss: needs two or more equal (M,) vectors, "
+                         f"got shapes {[v.shape for v in vals]}")
+    steps, factor = len(vals) - 1, 1.0 / (len(vals) - 1)
+    args, total = [], None
+    for prev, curr in zip(vals, vals[1:]):
+        diff = curr - prev
+        args.append(int(np.argmax(diff)))
+        total = diff[args[-1]] if total is None else total + diff[args[-1]]
 
     def backward(g):
-        dc, dp = np.zeros(m), np.zeros(m)
-        dc[arg], dp[arg] = g, -g
-        return dc, dp
+        gk = g * factor
+        adj = [None] * (steps + 1)
+        for k in reversed(range(steps)):  # step k + 1 compares f_{k+1} with f_k
+            up, down = np.zeros(shape), np.zeros(shape)
+            up[args[k]], down[args[k]] = gk, -gk
+            adj[k + 1] = up if adj[k + 1] is None else adj[k + 1] + up
+            adj[k] = down
+        return adj
 
-    return _record((curr, prev), np.asarray(diff[arg]), backward)
-
-
-def mean(parts):
-    """The mean of scalar ``parts``: their sum from left to right, times ``1 / len(parts)``."""
-    parts = tuple(parts)
-    vals = [value(p) for p in parts]
-    if any(v.ndim != 0 for v in vals):
-        raise ShapeError("mean expects scalar inputs")
-    n, factor = len(vals), 1.0 / len(vals)
-    total = vals[0]
-    for v in vals[1:]:
-        total = total + v
-    return _record(parts, np.asarray(total * factor), lambda g: [g * factor] * n)
+    return _record(fs, np.asarray(total * factor), backward)
 
 
 # A cell whose gate block (N x 4H, per stacked slice) has more entries than
@@ -274,23 +271,32 @@ def mean(parts):
 _TILE_GATE_ENTRIES = 2**14
 
 
-def lstm(s, hc, wx, wh, b):
+def lstm(s, hc, wx, wh, bx, bh):
     """One LSTM cell update as a single tape node; returns the new state ``hc'``.
 
     ``s`` is (..., N, in) and ``hc`` is (2, ..., N, H), holding h then c;
-    ``wx`` (..., in, 4H), ``wh`` (..., H, 4H) and ``b`` (..., 1, 4H) hold
-    the gates in :data:`LSTM_GATES` column order. Leading axes stack
-    independent cells, and each slice of the result equals, bit for bit, the
-    call on that slice alone. With ``pre = s wx + h wh + b`` split into gates
-    i, f, o, g: ``c' = sigmoid(f) c + sigmoid(i) tanh(g)`` and
+    ``wx`` (..., in, 4H), ``wh`` (..., H, 4H) and the two bias rows ``bx``
+    and ``bh`` (..., 1, 4H) hold the gates in :data:`LSTM_GATES` column
+    order. Leading axes stack independent cells, and each slice of the
+    result equals, bit for bit, the call on that slice alone. With
+    ``pre = s wx + h wh + (bx + bh)`` split into gates i, f, o, g:
+    ``c' = sigmoid(f) c + sigmoid(i) tanh(g)`` and
     ``h' = sigmoid(o) tanh(c')``, returned as one (2, ..., N, H) array.
-    Taped and untaped calls run the same arithmetic.
+    Taped and untaped calls run the same arithmetic. ``bx`` and ``bh`` get
+    the same adjoint, as they would through a node for ``bx + bh``.
     """
-    args = (s, hc, wx, wh, b)
+    args = (s, hc, wx, wh, bx, bh)
     vals = [value(x) for x in args]
+    if vals[4].shape != vals[5].shape:
+        raise ShapeError(f"lstm: bias shapes bx {vals[4].shape} and bh {vals[5].shape} differ")
     taped = [isinstance(x, Var) for x in args]
-    out, gates, tc = _lstm_forward(*vals, keep=any(taped))
-    return _record(args, out, lambda g: _lstm_backward(g, gates, tc, *vals[:4], *taped[:2]))
+    out, gates, tc = _lstm_forward(*vals[:4], vals[4] + vals[5], keep=any(taped))
+
+    def backward(g):
+        *adj, db = _lstm_backward(g, gates, tc, *vals[:4], *taped[:2])
+        return *adj, db, db
+
+    return _record(args, out, backward)
 
 
 def _lstm_forward(s, hc, wx, wh, b, keep):
@@ -356,7 +362,7 @@ def _lstm_cell(s, hc, wx, wh, b, out=None, gates=None, tc=None):
 
 
 def _lstm_backward(g, gates, tc, s, hc, wx, wh, need_s, need_hc):
-    """Adjoints of (s, hc, wx, wh, b) from the output adjoint g = (dh', dc').
+    """Adjoints of (s, hc, wx, wh, bx + bh) from the output adjoint g = (dh', dc').
 
     The adjoints of ``s`` and ``hc`` are None unless ``need_s`` and
     ``need_hc``: a constant input's adjoint is never read.
@@ -393,7 +399,7 @@ def backward(tape: Tape, output: Var) -> None:
 
     A node's adjoint is its first contribution, and each later one is added
     into a new array, never in place: one array may be the adjoint of
-    several nodes (``add`` hands its ``g`` to both inputs). Constant inputs
+    several nodes (``lstm`` hands one to both bias rows). Constant inputs
     (id None) get no adjoint.
     """
     if output.tape is not tape:

@@ -122,7 +122,7 @@ def check_1_min_norm_oracles(ctx):
         sol = solve_min_norm(w)
         lam = min_norm_2obj_oracle(w[0], w[1])
         worst2 = max(worst2, abs(sol.dual_norm_sq - float(np.sum((w.T @ lam) ** 2))))
-    worst3 = 0.0
+    worst3 = -np.inf
     resolution = 500
     for _ in range(200):
         w = rng.uniform(-1, 1, size=(3, int(rng.integers(1, 9))))

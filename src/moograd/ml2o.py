@@ -151,22 +151,15 @@ def preprocess_gradient(g: np.ndarray, p: float = 10.0) -> np.ndarray:
     return out
 
 
-def _fuse(fused) -> tuple:
-    """The ``(wx, wh, bx + bh)`` of both cells and the head's ``(w, b)``, once per window or call.
+def _direction_core(y_rows: np.ndarray, state: Ml2oState, fused) -> tuple:
+    """Shared forward pass; returns ((N,1) update column, new state).
 
     ``fused`` maps the :func:`fused_shapes` names to arrays or to their Vars.
     """
-    cell = lambda p: (fused[p + "wx"], fused[p + "wh"], ad.add(fused[p + "bx"], fused[p + "bh"]))
-    return cell("spec."), cell("shared."), fused["head.w"], fused["head.b"]
-
-
-def _direction_core(y_rows: np.ndarray, state: Ml2oState, fused) -> tuple:
-    """Shared forward pass; returns ((N,1) update column, new state)."""
-    specific, shared, head_w, head_b = fused
-    spec = ad.lstm(preprocess_gradient(y_rows), state.spec, *specific)
-    sh = ad.lstm(ad.concat_h(spec), state.shared, *shared)
-    g_col = ad.affine(ad.slice_(sh, 0), head_w, head_b)
-    return g_col, Ml2oState(spec, sh)
+    cell = lambda p: [fused[p + kind] for kind in ("wx", "wh", "bx", "bh")]
+    spec = ad.lstm(preprocess_gradient(y_rows), state.spec, *cell("spec."))
+    sh = ad.lstm(ad.concat_h(spec), state.shared, *cell("shared."))
+    return ad.head(sh, fused["head.w"], fused["head.b"]), Ml2oState(spec, sh)
 
 
 def ml2o_direction(y_rows: np.ndarray, state: Ml2oState, params: Ml2oParams):
@@ -178,7 +171,7 @@ def ml2o_direction(y_rows: np.ndarray, state: Ml2oState, params: Ml2oParams):
     y_rows = np.asarray(y_rows, dtype=np.float64)
     if y_rows.ndim != 2 or y_rows.shape[0] != params.m:
         raise ShapeError(f"expected ({params.m}, N) gradient stack, got {y_rows.shape}")
-    g_col, new_state = _direction_core(y_rows, state, _fuse(params.fused))
+    g_col, new_state = _direction_core(y_rows, state, params.fused)
     return np.asarray(g_col).reshape(-1), new_state
 
 
@@ -213,39 +206,37 @@ def learned_step(problem, xs, k, alpha, rngs, memory, model: Ml2oParams, samples
 
 
 def meta_loss(f_curr, f_prev):
-    """Worst per-objective increase max_i(f_curr_i - f_prev_i).
+    """Worst per-objective increase max_i(f_curr_i - f_prev_i): the one-step window loss.
 
     Takes two (M,) loss vectors, arrays or Vars; returns a float for plain
     inputs or a Var when either input is taped.
     """
-    out = ad.max_increase(f_curr, f_prev)
+    out = ad.window_loss((f_prev, f_curr))
     return out if isinstance(out, Var) else float(out)
 
 
 def unroll_window(problem, x_col, state: Ml2oState, fused, window: int,
                   alpha, draw_fn: Callable[[int, np.ndarray], np.ndarray],
                   k_offset: int = 0):
-    """Unroll ``window`` learned steps and average the per-step meta-loss.
+    """Unroll ``window`` learned steps; return their window loss, the iterate and the state.
 
-    ``draw_fn(j, x_value)`` supplies the (M, N) gradient stack for local step
-    j; its output is detached. ``alpha`` is a constant or a callable of the
-    global step index (1-based, offset by ``k_offset``). ``fused`` maps the
-    :func:`fused_shapes` names to plain arrays (evaluation) or tape Vars
-    (training); both run the same arithmetic.
+    The window loss is the mean over the steps of the worst per-objective
+    increase (:func:`ad.window_loss`). ``draw_fn(j, x_value)`` supplies the
+    (M, N) gradient stack for local step j; its output is detached.
+    ``alpha`` is a constant or a callable of the global step index (1-based,
+    offset by ``k_offset``). ``fused`` maps the :func:`fused_shapes` names to
+    plain arrays (evaluation) or tape Vars (training); both run the same
+    arithmetic.
     """
     alpha_at = alpha if callable(alpha) else (lambda k: alpha)
-    cells = _fuse(fused)
-    f_prev = problem.eval_terms(x_col)
-    losses = []
+    fs = [problem.eval_terms(x_col)]
     x = x_col
     for j in range(window):
         y_rows = draw_fn(j, ad.value(x).reshape(-1))
-        g_col, state = _direction_core(np.asarray(y_rows, dtype=np.float64), state, cells)
+        g_col, state = _direction_core(np.asarray(y_rows, dtype=np.float64), state, fused)
         x = ad.sub_scaled(x, g_col, alpha_at(k_offset + j + 1))
-        f_curr = problem.eval_terms(x)
-        losses.append(meta_loss(f_curr, f_prev))
-        f_prev = f_curr
-    return ad.mean(losses), x, state
+        fs.append(problem.eval_terms(x))
+    return ad.window_loss(fs), x, state
 
 
 def _draw_fn(problem, draw_mode: str, rng: np.random.Generator):

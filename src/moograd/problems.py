@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import as_tensor
+from .minnorm import criticality_measure
 
 
 class UnsupportedCapability(RuntimeError):
@@ -152,18 +153,15 @@ class QuadraticPair(MooProblem):
         return ad.quadratic_losses(x_col, self.centers, self.mats)
 
     def distance_to_front(self, x) -> float:
+        """Distance from ``x`` to the Pareto set, the hull of the centers.
+
+        With identity curvature the Jacobian's rows are ``x - c_i``, and
+        their min-norm convex combination is ``x`` minus its nearest point
+        of the hull, so the criticality measure is the distance.
+        """
         if self.mats is not None:
             raise UnsupportedCapability("Pareto set is known only for identity curvature")
-        return point_segment_distance(np.asarray(x, dtype=np.float64), *self.centers)
-
-
-def point_segment_distance(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    seg = b - a
-    denom = float(seg @ seg)
-    if denom == 0.0:
-        return float(np.linalg.norm(x - a))
-    t = float(np.clip((x - a) @ seg / denom, 0.0, 1.0))
-    return float(np.linalg.norm(x - (a + t * seg)))
+        return criticality_measure(self, x)
 
 
 def make_quadratic_pair(dim: int, seed: int, noise_sigma: float = 0.0) -> QuadraticPair:

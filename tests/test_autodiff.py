@@ -20,10 +20,14 @@ def weighted_sum(a, r=1.0):
     return ad._record((a,), np.asarray((x * r).sum()), lambda g: (np.full(x.shape, g) * r,))
 
 
+def plus(a, b):
+    """``a + b`` as a test-only primitive: one adjoint array reaches both inputs."""
+    return ad._record((a, b), ad.value(a) + ad.value(b), lambda g: (g, g))
+
+
 def half_square(x):
     """``0.5 * sum(x * x)`` of an (N, 1) column, through the loss nodes."""
-    return ad.max_increase(ad.quadratic_losses(x, np.zeros((1, ad.value(x).shape[0]))),
-                           np.zeros(1))
+    return ad.window_loss([np.zeros(1), ad.quadratic_losses(x, np.zeros((1, ad.value(x).shape[0])))])
 
 
 def check_fd(store, build, eps=1e-6, tol=1e-7):
@@ -40,38 +44,45 @@ def check_fd(store, build, eps=1e-6, tol=1e-7):
 
 def test_primitive_trivia():
     v = np.array([[1.0], [2.0], [3.0]])
-    assert np.array_equal(ad.affine(np.eye(3), v, np.zeros((1, 1))), v)
+    assert np.array_equal(ad.head(np.stack([np.eye(3), np.ones((3, 3))]), v, np.zeros((1, 1))), v)
     assert np.array_equal(ad.quadratic_losses(v, np.zeros((2, 3)), np.stack([np.eye(3), 2 * np.eye(3)])),
                           [7.0, 14.0])
-    assert ad.max_increase(np.array([1.0, 5.0, 2.0]), np.array([0.0, 4.5, 0.5])) == 1.5
-    assert ad.mean([1.0, 2.0, 6.0]) == 3.0
+    assert ad.window_loss([np.array([0.0, 4.5, 0.5]), np.array([1.0, 5.0, 2.0])]) == 1.5
+    # worst increases 1, 5 and 6: their mean
+    assert ad.window_loss([np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 5.0]),
+                           np.array([7.0, 5.0])]) == 4.0
     hc = np.arange(24.0).reshape(2, 2, 2, 3)
     assert np.array_equal(ad.concat_h(hc), np.concatenate([hc[0, 0], hc[0, 1]], axis=1))
 
 
 def test_shape_errors_name_the_kind():
-    with pytest.raises(ad.ShapeError, match="affine"):
-        ad.affine(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
-    with pytest.raises(ad.ShapeError, match="affine"):
-        ad.affine(np.zeros((2, 3)), np.zeros((3, 1)), np.zeros((2, 1)))
+    with pytest.raises(ad.ShapeError, match="head"):
+        ad.head(np.zeros((2, 2, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
+    with pytest.raises(ad.ShapeError, match="head"):
+        ad.head(np.zeros((2, 2, 3)), np.zeros((3, 1)), np.zeros((2, 1)))
+    with pytest.raises(ad.ShapeError, match="head"):  # a state, not its h half
+        ad.head(np.zeros((2, 3)), np.zeros((3, 1)), np.zeros((1, 1)))
     with pytest.raises(ad.ShapeError, match="quadratic_losses"):
         ad.quadratic_losses(np.zeros((3,)), np.zeros((2, 3)))
-    with pytest.raises(ad.ShapeError, match="max_increase"):
-        ad.max_increase(np.zeros(2), np.zeros(3))
-    with pytest.raises(ad.ShapeError, match="mean"):
-        ad.mean([np.zeros(2), 1.0])
-    with pytest.raises(ad.ShapeError, match="add"):
-        ad.add(np.zeros((2, 3)), np.zeros((3, 2)))
-    with pytest.raises(ad.ShapeError, match="add"):  # no row broadcast
-        ad.add(np.zeros((4, 3)), np.zeros((1, 3)))
+    with pytest.raises(ad.ShapeError, match="window_loss"):
+        ad.window_loss([np.zeros(2), np.zeros(3)])
+    with pytest.raises(ad.ShapeError, match="window_loss"):  # no step
+        ad.window_loss([np.zeros(2)])
+    with pytest.raises(ad.ShapeError, match="window_loss"):
+        ad.window_loss([np.zeros((2, 1)), np.zeros((2, 1))])
     with pytest.raises(ad.ShapeError, match="sub_scaled"):
         ad.sub_scaled(np.zeros((3, 1)), np.zeros((1, 3)), 0.5)
+    with pytest.raises(ad.ShapeError, match="sub_scaled"):  # no row broadcast
+        ad.sub_scaled(np.zeros((4, 3)), np.zeros((1, 3)), 0.5)
     with pytest.raises(ad.ShapeError, match="lstm"):
         ad.lstm(np.zeros((2, 1)), np.zeros((2, 2, 3)),
-                np.zeros((1, 12)), np.zeros((3, 12)), np.zeros((1, 3)))
+                np.zeros((1, 12)), np.zeros((3, 12)), np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ad.ShapeError, match="lstm"):  # stack axes must agree
-        ad.lstm(np.zeros((2, 4, 1)), np.zeros((2, 2, 4, 3)),
-                np.zeros((3, 1, 12)), np.zeros((2, 3, 12)), np.zeros((2, 1, 12)))
+        ad.lstm(np.zeros((2, 4, 1)), np.zeros((2, 2, 4, 3)), np.zeros((3, 1, 12)),
+                np.zeros((2, 3, 12)), np.zeros((2, 1, 12)), np.zeros((2, 1, 12)))
+    with pytest.raises(ad.ShapeError, match="lstm"):  # the bias rows do not broadcast
+        ad.lstm(np.zeros((2, 1)), np.zeros((2, 2, 3)),
+                np.zeros((1, 12)), np.zeros((3, 12)), np.zeros((1, 12)), np.zeros((2, 1, 12)))
 
 
 def test_square_gradient():
@@ -135,29 +146,45 @@ def test_backward_linearity():
         return {k: v.copy() for k, v in store.grads.items()}
 
     f = lambda a, b: half_square(a)
-    g = lambda a, b: ad.max_increase(ad.quadratic_losses(ad.sub_scaled(a, b, 1.0), centers, mats), np.zeros(2))
-    both = grads_of(lambda a, b: ad.add(f(a, b), g(a, b)))
+    g = lambda a, b: ad.window_loss([np.zeros(2), ad.quadratic_losses(ad.sub_scaled(a, b, 1.0), centers, mats)])
+    both = grads_of(lambda a, b: plus(f(a, b), g(a, b)))
     gf, gg = grads_of(f), grads_of(g)
     for k in both:
         assert np.allclose(both[k], gf[k] + gg[k], atol=1e-14)
 
 
-def test_max_increase_lowest_index_tie():
+def test_window_loss_lowest_index_tie():
     store = scalar_store(curr=[1.0, 3.0, 3.0], prev=[0.0, 2.0, 2.0])
     tape = ad.Tape()
-    out = ad.max_increase(tape.param(store, "curr"), tape.param(store, "prev"))
+    out = ad.window_loss([tape.param(store, "prev"), tape.param(store, "curr")])
     assert float(out.value) == 1.0
     ad.backward(tape, out)
     assert np.array_equal(store.grads["curr"], [1.0, 0.0, 0.0])
     assert np.array_equal(store.grads["prev"], [-1.0, 0.0, 0.0])
 
 
-def test_slice_roundtrip_gradient():
-    store = scalar_store(a=np.ones((2, 5)))
+def test_window_loss_adjoints_are_the_per_step_sweep():
+    """Each f_k's adjoint is -1/K at step k+1's (lowest-index) argmax plus 1/K at
+    step k's; where both argmaxes agree they cancel to zero."""
+    fs = [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 1.0, 0.0], [2.0, 1.0, 4.0]]
+    store = scalar_store(**{f"f{k}": f for k, f in enumerate(fs)})
     tape = ad.Tape()
-    piece = ad.slice_(tape.param(store, "a"), (slice(None), slice(1, 4)))
-    ad.backward(tape, weighted_sum(piece))
-    assert np.array_equal(store.grads["a"], [[0, 1, 1, 1, 0], [0, 1, 1, 1, 0]])
+    out = ad.window_loss([tape.param(store, f"f{k}") for k in range(4)])
+    assert float(out.value) == (1.0 + 1.0 + 4.0) * (1.0 / 3.0)  # argmaxes 0 (a tie), 0 and 2
+    ad.backward(tape, out)
+    third = 1.0 / 3.0
+    assert np.array_equal(store.grads["f0"], [-third, 0.0, 0.0])
+    assert np.array_equal(store.grads["f1"], [0.0, 0.0, 0.0])
+    assert np.array_equal(store.grads["f2"], [third, 0.0, -third])
+    assert np.array_equal(store.grads["f3"], [0.0, 0.0, third])
+
+
+def test_head_adjoint_is_zero_in_the_c_half():
+    store = scalar_store(hc=np.ones((2, 4, 3)))
+    tape = ad.Tape()
+    col = ad.head(tape.param(store, "hc"), np.ones((3, 1)), np.zeros((1, 1)))
+    ad.backward(tape, weighted_sum(col))
+    assert np.array_equal(store.grads["hc"], np.stack([np.ones((4, 3)), np.zeros((4, 3))]))
 
 
 def test_sub_scaled_equals_two_step_chain_bitwise():
@@ -174,19 +201,21 @@ def test_sub_scaled_equals_two_step_chain_bitwise():
     assert np.array_equal(store.grads["d"], (-r) * 0.35)
 
 
-def test_shared_adjoints_and_two_slices_match_fd():
+def test_shared_adjoints_and_two_heads_match_fd():
     rng = np.random.default_rng(5)
-    store = scalar_store(v=rng.normal(size=(4, 1)), w=rng.normal(size=(4, 1)))
+    store = scalar_store(v=rng.normal(size=(2, 4, 2)), w=rng.normal(size=(2, 4, 2)))
+    w1, w2, b = rng.normal(size=(2, 1)), rng.normal(size=(2, 1)), rng.normal(size=(1, 1))
+    r = rng.normal(size=(2, 4, 2))
 
     def build(st):
         tape = ad.Tape()
         v, w = tape.param(st, "v"), tape.param(st, "w")
-        u = ad.add(v, v)  # one adjoint reaches both inputs
-        left = ad.slice_(u, (slice(0, 3), slice(None)))
-        right = ad.slice_(u, (slice(1, 4), slice(None)))
-        # d's adjoint reaches u and w as one array before the slices add into u's
-        d = ad.add(u, w)
-        return tape, ad.mean([half_square(left), half_square(right), half_square(d)])
+        u = plus(v, v)  # one adjoint reaches both inputs
+        left = ad.head(u, w1, b)
+        right = ad.head(u, w2, b)
+        # d's adjoint reaches u and w as one array before the heads add into u's
+        d = plus(u, w)
+        return tape, plus(plus(half_square(left), half_square(right)), weighted_sum(d, r))
 
     tape, out = build(store)
     ad.backward(tape, out)
@@ -204,14 +233,16 @@ def test_dropped_tape_is_freed_without_the_cycle_collector():
     try:
         tape = ad.Tape()
         s, hc, w, u, bx, bh = (tape.param(store, k) for k in ("s", "hc", "w", "u", "bx", "bh"))
-        hc = ad.lstm(s, hc, w, u, ad.add(bx, bh))
-        x = ad.sub_scaled(ad.concat_h(hc), ad.slice_(hc, (1, 0)), 2.0)
-        x = ad.affine(x, np.ones((3, 1)), np.ones((1, 1)))
+        hc = ad.lstm(s, hc, w, u, bx, bh)
+        x = ad.sub_scaled(ad.concat_h(hc), np.ones((2, 3)), 2.0)
+        sh = ad.lstm(x, np.zeros((2, 2, 3)), np.ones((3, 12)), np.ones((3, 12)),
+                     np.ones((1, 12)), np.ones((1, 12)))
+        x = ad.head(sh, np.ones((3, 1)), np.ones((1, 1)))
         f = ad.quadratic_losses(x, np.ones((2, 2)), np.stack([np.eye(2), np.eye(2)]))
-        out = ad.mean([ad.max_increase(f, np.zeros(2)), half_square(x)])
+        out = ad.window_loss([np.zeros(2), f, ad.quadratic_losses(x, np.zeros((2, 2)))])
         ad.backward(tape, out)
         ref = weakref.ref(tape)
-        del tape, s, hc, w, u, bx, bh, x, f, out
+        del tape, s, hc, w, u, bx, bh, x, sh, f, out
         assert ref() is None
     finally:
         gc.enable()
@@ -221,29 +252,31 @@ def test_row_bias_broadcast_backward():
     store = scalar_store(b=np.zeros((1, 3)))
     tape = ad.Tape()
     b = tape.param(store, "b")
-    out = weighted_sum(ad.affine(np.ones((4, 2)), np.zeros((2, 3)), b))
+    out = weighted_sum(ad.head(np.ones((2, 4, 2)), np.zeros((2, 3)), b))
     ad.backward(tape, out)
     assert np.array_equal(store.grads["b"], np.full((1, 3), 4.0))
 
 
 def _random_lstm_loss(seed):
-    """Two chained steps of a taped LSTM cell: a scalar of 4 parameter arrays."""
+    """Two chained steps of a taped LSTM cell: a scalar of 5 parameter arrays."""
     rng = np.random.default_rng(seed)
     store = ad.ParamStore()
     store.add("w", rng.normal(size=(2, 12)))
     store.add("u", rng.normal(size=(3, 12)))
-    store.add("b", rng.normal(size=(1, 12)))
+    store.add("bx", rng.normal(size=(1, 12)))
+    store.add("bh", rng.normal(size=(1, 12)))
     store.add("hc0", np.stack([rng.normal(size=(4, 3)), np.zeros((4, 3))]))
     s1, s2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
     v = rng.normal(size=(3, 1))
+    c_half = np.stack([np.zeros((4, 3)), np.ones((4, 3))])
 
     def build(st):
         tape = ad.Tape()
-        w, u, b, hc0 = (tape.param(st, n) for n in ("w", "u", "b", "hc0"))
-        hc1 = ad.lstm(s1, hc0, w, u, b)
-        hc2 = ad.lstm(s2, hc1, w, u, b)
-        h2, c2 = ad.slice_(hc2, 0), ad.slice_(hc2, 1)
-        return tape, ad.add(half_square(ad.affine(h2, v, np.zeros((1, 1)))), weighted_sum(c2))
+        w, u, bx, bh, hc0 = (tape.param(st, n) for n in ("w", "u", "bx", "bh", "hc0"))
+        hc1 = ad.lstm(s1, hc0, w, u, bx, bh)
+        hc2 = ad.lstm(s2, hc1, w, u, bx, bh)
+        return tape, plus(half_square(ad.head(hc2, v, np.zeros((1, 1)))),
+                          weighted_sum(hc2, c_half))
 
     return store, build
 
@@ -275,8 +308,10 @@ def random_primitive_graph(seed):
     store.add("w", rng.normal(size=(h, h)))
     store.add("bias", rng.normal(size=(1, h)))
     store.add("wx4", rng.normal(size=(h, 4 * h)))
+    store.add("wc4", rng.normal(size=(2 * h, 4 * h)))
     store.add("wh4", rng.normal(size=(h, 4 * h)))
-    store.add("b4", rng.normal(size=(1, 4 * h)))
+    store.add("bx4", rng.normal(size=(1, 4 * h)))
+    store.add("bh4", rng.normal(size=(1, 4 * h)))
     store.add("u", rng.normal(size=(h, 1)))
     store.add("hc", rng.normal(size=(2, n, h)))
     store.add("hc2", rng.normal(size=(2, 2, n, h)))
@@ -284,30 +319,29 @@ def random_primitive_graph(seed):
     mats = None if seed % 2 else rng.normal(size=(3, n, n))
     f0 = rng.normal(size=3)
 
-    op_sequence = rng.integers(0, 7, size=4)
+    op_sequence = rng.integers(0, 6, size=4)
 
     def build(st):
         tape = ad.Tape()
-        a, b, w, bias, wx4, wh4, b4, u, hc, hc2 = (
+        a, b, w, bias, wx4, wc4, wh4, bx4, bh4, u, hc, hc2 = (
             tape.param(st, k)
-            for k in ("a", "b", "w", "bias", "wx4", "wh4", "b4", "u", "hc", "hc2")
+            for k in ("a", "b", "w", "bias", "wx4", "wc4", "wh4", "bx4", "bh4", "u", "hc", "hc2")
         )
-        x = ad.affine(a, w, bias)
+        cell = lambda s, state, wx=wx4: ad.lstm(s, state, wx, wh4, bx4, bh4)
         ops = [
-            lambda v: ad.affine(v, w, bias),
-            lambda v: ad.slice_(ad.lstm(v, hc, wx4, wh4, b4), 0),
-            lambda v: ad.slice_(ad.lstm(v, hc, wx4, wh4, b4), 1),
-            lambda v: ad.add(v, ad.slice_(ad.concat_h(hc2), (slice(None), slice(1, h + 1)))),
-            lambda v: ad.add(v, b),
+            lambda v: ad.head(cell(v, hc), w, bias),
+            lambda v: ad.head(cell(v, cell(v, hc)), w, bias),  # c' feeds the next cell
+            lambda v: ad.sub_scaled(v, ad.head(cell(ad.concat_h(hc2), hc, wc4), w, bias), -0.5),
+            lambda v: ad.sub_scaled(v, v, 0.25),
             lambda v: ad.sub_scaled(v, b, 0.7),
             lambda v: ad.sub_scaled(b, v, -1.3),
         ]
+        x = a
         for idx in op_sequence:
             x = ops[idx](x)
-        col = ad.affine(x, u, np.zeros((1, 1)))
-        s1 = ad.max_increase(ad.quadratic_losses(col, centers, mats), f0)
-        s2 = half_square(col)
-        return tape, ad.mean([s1, s2])
+        col = ad.head(cell(x, hc), u, np.zeros((1, 1)))
+        return tape, ad.window_loss([f0, ad.quadratic_losses(col, centers, mats),
+                                     ad.quadratic_losses(col, centers[::-1])])
 
     return store, build
 
@@ -332,8 +366,8 @@ def test_random_graph_gradients_match_fd_100_seeds(block):
 
 
 def _lstm_inputs(seed, n, in_w, hid, bias_scale=1.0, lead=()):
-    """A store of ``s``, ``hc`` (h and c stacked), ``wx``, ``wh``, ``b`` and
-    a random weighting of the output state."""
+    """A store of ``s``, ``hc`` (h and c stacked), ``wx``, ``wh``, ``bx``,
+    ``bh`` and a random weighting of the output state."""
     rng = np.random.default_rng(seed)
     store = ad.ParamStore()
     shapes = {"s": (n, in_w), "h": (n, hid), "c": (n, hid),
@@ -343,11 +377,12 @@ def _lstm_inputs(seed, n, in_w, hid, bias_scale=1.0, lead=()):
     store.add("hc", np.stack([vals["h"], vals["c"]]))
     store.add("wx", vals["wx"])
     store.add("wh", vals["wh"])
-    store.add("b", bias_scale * rng.normal(size=lead + (1, 4 * hid)))
+    store.add("bx", bias_scale * rng.normal(size=lead + (1, 4 * hid)))
+    store.add("bh", bias_scale * rng.normal(size=lead + (1, 4 * hid)))
     return store, rng.normal(size=(2,) + lead + (n, hid))
 
 
-LSTM_ARGS = ("s", "hc", "wx", "wh", "b")
+LSTM_ARGS = ("s", "hc", "wx", "wh", "bx", "bh")
 
 
 def _weighted_lstm_loss(r):
@@ -378,7 +413,7 @@ def test_lstm_gradient_matches_fd_all_inputs(n, in_w, hid, bias_scale):
     store, r = _lstm_inputs(11, n, in_w, hid, bias_scale)
     if bias_scale > 1.0:  # most gates saturated: sigmoid(4) = 0.982, tanh(4) = 0.9993
         p = store.params
-        pre = p["s"] @ p["wx"] + p["hc"][0] @ p["wh"] + p["b"]
+        pre = p["s"] @ p["wx"] + p["hc"][0] @ p["wh"] + (p["bx"] + p["bh"])
         assert np.mean(np.abs(pre) > 4.0) > 0.5
     _check_lstm_gradient(store, _weighted_lstm_loss(r), eps=1e-6)
 
@@ -426,9 +461,10 @@ def test_tiled_lstm_equals_whole_cell_bitwise(lead, n, hid):
     assert n > rows and n % rows != 0
     store, r = _lstm_inputs(15, n, 3, hid, lead=lead)
     p = store.params
-    whole, gates, tc = ad._lstm_cell(*(p[k] for k in LSTM_ARGS))
+    whole, gates, tc = ad._lstm_cell(*(p[k] for k in LSTM_ARGS[:4]), p["bx"] + p["bh"])
     assert np.array_equal(ad.lstm(*(p[k] for k in LSTM_ARGS)), whole)
-    want = ad._lstm_backward(r, gates, tc, *(p[k] for k in LSTM_ARGS[:4]), True, True)
+    *want, db = ad._lstm_backward(r, gates, tc, *(p[k] for k in LSTM_ARGS[:4]), True, True)
+    want += [db, db]
     tape, out = _weighted_lstm_loss(r)(store)
     assert np.array_equal(tape.nodes[out.nid - 1].value, whole)
     ad.backward(tape, out)
@@ -438,15 +474,17 @@ def test_tiled_lstm_equals_whole_cell_bitwise(lead, n, hid):
 
 def test_taped_ops_record_no_constant_nodes():
     store = scalar_store(x=np.ones((2, 3)), hc=np.zeros((2, 2, 3)), wx=np.ones((1, 12)),
-                         wh=np.ones((3, 12)), b=np.ones((1, 12)))
+                         wh=np.ones((3, 12)), bx=np.ones((1, 12)))
     tape = ad.Tape()
-    x, hc, wx, wh, b = (tape.param(store, k) for k in ("x", "hc", "wx", "wh", "b"))
-    y = ad.sub_scaled(ad.add(x, np.ones((2, 3))), np.full((2, 3), 2.0), 1.0)
-    state = ad.lstm(np.ones((2, 1)), hc, wx, wh, b)
-    assert len(tape.nodes) == 8  # five params, add, sub_scaled, lstm
-    assert tape.nodes[y.nid].inputs == (y.nid - 1, None)
-    assert tape.nodes[state.nid].inputs == (None, hc.nid, wx.nid, wh.nid, b.nid)
-    ad.backward(tape, ad.add(weighted_sum(y), weighted_sum(state)))
+    x, hc, wx, wh, bx = (tape.param(store, k) for k in ("x", "hc", "wx", "wh", "bx"))
+    y = ad.sub_scaled(x, np.full((2, 3), 2.0), 1.0)
+    state = ad.lstm(np.ones((2, 1)), hc, wx, wh, bx, np.ones((1, 12)))
+    col = ad.head(state, np.ones((3, 1)), np.ones((1, 1)))
+    assert len(tape.nodes) == 8  # five params, sub_scaled, lstm, head
+    assert tape.nodes[y.nid].inputs == (x.nid, None)
+    assert tape.nodes[state.nid].inputs == (None, hc.nid, wx.nid, wh.nid, bx.nid, None)
+    assert tape.nodes[col.nid].inputs == (state.nid, None, None)
+    ad.backward(tape, plus(weighted_sum(y), weighted_sum(col)))
     assert np.array_equal(store.grads["x"], np.ones((2, 3)))
 
 
@@ -457,26 +495,20 @@ def _fused_node_loss(node, rng):
         centers, r = rng.normal(size=(3, 4)), rng.normal(size=3)
         mats = rng.normal(size=(3, 4, 4)) if node == "quadratic_curved" else None
         loss = lambda p: weighted_sum(ad.quadratic_losses(p["x"], centers, mats), r)
-    elif node == "max_increase":
-        store = scalar_store(curr=rng.normal(size=4), prev=rng.normal(size=4))
-        loss = lambda p: ad.max_increase(p["curr"], p["prev"])
+    elif node == "window_loss":
+        # f_k peaks at index k over f_{k-1}: distinct argmaxes, so no f_k's adjoint cancels
+        store = scalar_store(**{f"f{k}": rng.normal(size=4) + 5.0 * np.eye(4)[k] for k in range(4)})
+        loss = lambda p: ad.window_loss([p[f"f{k}"] for k in range(4)])
     elif node == "concat_h":
         store, r = scalar_store(hc=rng.normal(size=(2, 3, 4, 2))), rng.normal(size=(4, 6))
         loss = lambda p: weighted_sum(ad.concat_h(p["hc"]), r)
-    elif node == "affine":
-        store = scalar_store(x=rng.normal(size=(4, 3)), w=rng.normal(size=(3, 2)),
-                             b=rng.normal(size=(1, 2)))
-        v = rng.normal(size=(2, 1))
-        loss = lambda p: half_square(ad.affine(ad.affine(p["x"], p["w"], p["b"]), v,
-                                               np.zeros((1, 1))))
-    elif node == "sub_scaled":
+    elif node == "head":
+        store = scalar_store(hc=rng.normal(size=(2, 4, 3)), w=rng.normal(size=(3, 1)),
+                             b=rng.normal(size=(1, 1)))
+        loss = lambda p: half_square(ad.head(p["hc"], p["w"], p["b"]))
+    else:
         store = scalar_store(x=rng.normal(size=(3, 1)), d=rng.normal(size=(3, 1)))
         loss = lambda p: half_square(ad.sub_scaled(p["x"], p["d"], 0.35))
-    else:
-        store = scalar_store(x=rng.normal(size=(3, 1)))
-        loss = lambda p: ad.mean([half_square(ad.slice_(p["x"], slice(0, 2))),
-                                  half_square(ad.slice_(p["x"], slice(1, 3))),
-                                  half_square(ad.add(p["x"], p["x"]))])
 
     def build(st):
         tape = ad.Tape()
@@ -485,8 +517,8 @@ def _fused_node_loss(node, rng):
     return store, build
 
 
-@pytest.mark.parametrize("node", ["quadratic_identity", "quadratic_curved", "max_increase",
-                                  "concat_h", "affine", "sub_scaled", "mean"])
+@pytest.mark.parametrize("node", ["quadratic_identity", "quadratic_curved", "window_loss",
+                                  "concat_h", "head", "sub_scaled"])
 def test_fused_node_gradient_matches_fd(node):
     store, build = _fused_node_loss(node, np.random.default_rng(21))
     check_fd(store, build)

@@ -182,6 +182,13 @@ def test_distance_to_front():
     )
     one_d = QuadraticPair([0.0], [1.0])
     assert one_d.distance_to_front(np.array([2.0])) == pytest.approx(1.0)
+    prob = make_quadratic_pair(8, seed=2)
+    a, b = prob.centers
+    seg = b - a
+    for x in np.random.default_rng(4).uniform(-2.0, 2.0, (500, 8)):
+        t = np.clip((x - a) @ seg / (seg @ seg), 0.0, 1.0)
+        assert abs(prob.distance_to_front(x) - np.linalg.norm(x - (a + t * seg))) <= 1e-14
+    assert prob.distance_to_front(a + 0.3 * seg) <= 1e-15
 
 
 def test_distance_to_front_requires_capability():
