@@ -52,7 +52,7 @@ class MinNormSolution:
     weights: np.ndarray          # lam on the simplex, shape (M,)
     combined: np.ndarray         # W' lam, shape (N,)
     descent_direction: np.ndarray  # -combined
-    dual_norm_sq: float          # |W' lam|^2
+    dual_norm_sq: float          # |W' lam|^2 from the Gram, floored at 0.0 against rounding
     gap: float                   # simplex gap 2 (lam' G lam - min_j (G lam)_j) of lam
     iterations: int              # active-set (major) iterations
     converged: bool              # gap <= tol
@@ -180,7 +180,7 @@ def solve_min_norm(w, tol: float = 1e-10, max_iter: int | None = None) -> MinNor
         weights=lam,
         combined=combined,
         descent_direction=-combined,
-        dual_norm_sq=obj,
+        dual_norm_sq=max(obj, 0.0),
         gap=gap,
         iterations=iters,
         converged=bool(gap <= tol),
@@ -261,11 +261,13 @@ def solve_min_norm_many(ws, tol: float = 1e-10, max_iter: int | None = None) -> 
     for i in np.flatnonzero(~done):
         lam[i], obj[i], gap[i], iters[i] = _active_set(gram[i].tolist(), tol, max_iter)
     combined = (lam[:, None, :] @ ws)[:, 0, :]
+    # as max(obj, 0.0) in solve_min_norm: the two differ only at -0.0, and no
+    # objective is -0.0, since every one is a sum that starts at +0.0
     return MinNormSolution(
         weights=lam,
         combined=combined,
         descent_direction=-combined,
-        dual_norm_sq=obj,
+        dual_norm_sq=np.maximum(obj, 0.0),
         gap=gap,
         iterations=iters,
         converged=gap <= tol,

@@ -304,5 +304,5 @@ def test_two_objective_min_norm_bits_match_golden():
         for name in SOLUTION_FIELDS:
             h.update(np.asarray(getattr(sol, name)).tobytes())
     assert h.hexdigest() == (
-        "acd384acf5cdf47f4d63dad2921a67fb1494f5f0b738173ed983653fd92c6cd8"
+        "e4b7e5756752314b5ba8aa77dd3d351fe1664555102a25ee4d7ef4772f800826"
     )

@@ -234,6 +234,21 @@ def test_weights_stay_on_the_simplex_on_scaled_stacks(m):
         assert_on_simplex_and_consistent(w, solve_min_norm(w))
 
 
+def test_dual_norm_sq_is_never_negative_at_critical_points(monkeypatch):
+    """|W' lam|^2 summed from Gram entries can round below zero where the origin
+    is in the hull; the reported value is clamped at +0.0 on both paths."""
+    rng = np.random.default_rng(9)
+    g = rng.normal(size=(2000, 1, 5))
+    ws = np.concatenate([g, -rng.uniform(0.1, 10.0, (2000, 1, 1)) * g], axis=1)
+    stacked_handoffs(monkeypatch, ws)
+    many = solve_min_norm_many(ws)
+    for p, w in enumerate(ws):
+        obj = solve_min_norm(w).dual_norm_sq
+        assert obj >= 0.0 and not np.signbit(obj), (w, obj)
+        assert not np.signbit(many.dual_norm_sq[p])
+    assert np.all(np.sqrt(many.dual_norm_sq) < 1e-6)
+
+
 def test_one_row_stack_is_one_scalar_solve(monkeypatch):
     """One ``solve_min_norm`` call, which validates once, with its fields as (1, ...) arrays."""
     ws = np.random.default_rng(2).normal(size=(1, 3, 4))
