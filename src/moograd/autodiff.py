@@ -167,8 +167,8 @@ def head(hc, w, b):
     its c half.
     """
     hv, wv, bv = value(hc), value(w), value(b)
-    if hv.ndim != 3 or hv.shape[0] != 2 or wv.ndim != 2 or hv.shape[2] != wv.shape[0] \
-            or bv.shape != (1, wv.shape[1]):
+    if (hv.ndim != 3 or hv.shape[0] != 2 or wv.ndim != 2 or hv.shape[2] != wv.shape[0]
+            or bv.shape != (1, wv.shape[1])):
         raise ShapeError(f"head: incompatible shapes {hv.shape}, {wv.shape} and {bv.shape}")
     h = hv[0]
 
@@ -236,11 +236,11 @@ def window_loss(fs):
     """
     fs = tuple(fs)
     vals = [value(f) for f in fs]
-    shape = vals[0].shape
-    if len(vals) < 2 or len(shape) != 1 or any(v.shape != shape for v in vals):
+    if len(vals) < 2 or vals[0].ndim != 1 or any(v.shape != vals[0].shape for v in vals):
         raise ShapeError(f"window_loss: needs two or more equal (M,) vectors, "
                          f"got shapes {[v.shape for v in vals]}")
-    steps, factor = len(vals) - 1, 1.0 / (len(vals) - 1)
+    shape, steps = vals[0].shape, len(vals) - 1
+    factor = 1.0 / steps
     args, total = [], None
     for prev, curr in zip(vals, vals[1:]):
         diff = curr - prev

@@ -69,6 +69,8 @@ def test_shape_errors_name_the_kind():
     with pytest.raises(ad.ShapeError, match="window_loss"):  # no step
         ad.window_loss([np.zeros(2)])
     with pytest.raises(ad.ShapeError, match="window_loss"):
+        ad.window_loss([])
+    with pytest.raises(ad.ShapeError, match="window_loss"):
         ad.window_loss([np.zeros((2, 1)), np.zeros((2, 1))])
     with pytest.raises(ad.ShapeError, match="sub_scaled"):
         ad.sub_scaled(np.zeros((3, 1)), np.zeros((1, 3)), 0.5)
