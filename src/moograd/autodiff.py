@@ -10,10 +10,12 @@ primitives in all:
 - the training loss: :func:`quadratic_losses` and :func:`window_loss` (the
   window mean of the worst per-objective increase).
 
-Each node of the last four items runs exactly the float operations, in the
-same order, of the chain of slices, elementwise products, matrix products
-and sums it replaces, so its value and adjoints are those of the chain bit
-for bit. Every primitive accepts either plain arrays (untaped, fast path) or
+Each of :func:`head`, :func:`sub_scaled`, :func:`quadratic_losses` and
+:func:`window_loss` runs exactly the float operations, in the same order, of
+the chain of slices, elementwise products, matrix products and sums it
+replaces, so its value and adjoints are those of the chain bit for bit, and
+:func:`lstm` adds and differentiates its bias rows as a node for
+``bx + bh`` would. Every primitive accepts either plain arrays (untaped, fast path) or
 :class:`Var` handles bound to a :class:`Tape`. Plain arrays among taped
 operands are constants: they get no node, and :func:`backward` skips them.
 
