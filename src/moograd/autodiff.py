@@ -10,12 +10,9 @@ primitives in all:
 - the training loss: :func:`quadratic_losses` and :func:`window_loss` (the
   window mean of the worst per-objective increase).
 
-Each of :func:`head`, :func:`sub_scaled`, :func:`quadratic_losses` and
-:func:`window_loss` runs exactly the float operations, in the same order, of
-the chain of slices, elementwise products, matrix products and sums it
-replaces, so its value and adjoints are those of the chain bit for bit, and
-:func:`lstm` adds and differentiates its bias rows as a node for
-``bx + bh`` would. Every primitive accepts either plain arrays (untaped, fast path) or
+Each fused primitive runs the float operations of the chain of simpler nodes
+it replaces in their order, so its value and adjoints are the chain's bit
+for bit. Every primitive accepts either plain arrays (untaped, fast path) or
 :class:`Var` handles bound to a :class:`Tape`. Plain arrays among taped
 operands are constants: they get no node, and :func:`backward` skips them.
 
@@ -27,7 +24,7 @@ make a cycle (tape, node, closure, Var, tape), and every dropped tape would
 then wait for the cycle collector.
 
 Elementwise ops require equal shapes; only :func:`head` broadcasts its
-``(1, out)`` bias row.
+``(1, out)`` bias row, and an untaped :func:`lstm` its weights.
 """
 
 from __future__ import annotations
@@ -161,15 +158,15 @@ def sub_scaled(x, d, alpha):
 
 
 def head(hc, w, b):
-    """``hc[0] w + b``: the h half of a (2, N, K) state times a (K, out) ``w``
-    plus a (1, out) bias row.
+    """``hc[0] w + b``: the h half of a (2, ..., N, K) state times a (K, out)
+    ``w`` plus a (1, out) bias row, as (..., N, out).
 
     Value and adjoints equal, bit for bit, those of a node for the slice
     ``hc[0]`` followed by one for the affine map; ``hc``'s adjoint is zero in
     its c half.
     """
     hv, wv, bv = value(hc), value(w), value(b)
-    if (hv.ndim != 3 or hv.shape[0] != 2 or wv.ndim != 2 or hv.shape[2] != wv.shape[0]
+    if (hv.ndim < 3 or hv.shape[0] != 2 or wv.ndim != 2 or hv.shape[-1] != wv.shape[0]
             or bv.shape != (1, wv.shape[1])):
         raise ShapeError(f"head: incompatible shapes {hv.shape}, {wv.shape} and {bv.shape}")
     h = hv[0]
@@ -177,22 +174,23 @@ def head(hc, w, b):
     def backward(g):
         dhc = np.zeros(hv.shape)
         dhc[0] = g @ wv.T
-        return dhc, h.T @ g, g.sum(axis=0, keepdims=True)
+        hs, gs = h.reshape(-1, wv.shape[0]), g.reshape(-1, wv.shape[1])
+        return dhc, hs.T @ gs, gs.sum(axis=0, keepdims=True)
 
     return _record((hc, w, b), h @ wv + bv, backward)
 
 
 def concat_h(hc):
-    """The h half of a (2, M, N, H) state with its M slices side by side, (N, M * H)."""
+    """The h half of a (2, ..., M, N, H) state with its M slices side by side, (..., N, M * H)."""
     x = value(hc)
-    _, m, n, hid = shape = x.shape
+    *lead, m, n, hid = x.shape[1:]
 
     def backward(g):
-        dhc = np.zeros(shape)
-        dhc[0] = g.reshape(n, m, hid).swapaxes(0, 1)
+        dhc = np.zeros(x.shape)
+        dhc[0] = g.reshape(*lead, n, m, hid).swapaxes(-3, -2)
         return (dhc,)
 
-    return _record((hc,), np.concatenate(x[0], axis=1), backward)
+    return _record((hc,), x[0].swapaxes(-3, -2).reshape(*lead, n, m * hid), backward)
 
 
 def quadratic_losses(x, centers, mats=None):
@@ -264,12 +262,11 @@ def window_loss(fs):
 
 # A cell whose gate block (N x 4H, per stacked slice) has more entries than
 # this (128 KiB, glibc's default mmap threshold) runs slice by slice in tiles
-# of _TILE_GATE_ENTRIES // 4H rows, and an untaped run reuses one tile-sized
-# gate buffer and one tanh(c') buffer for every tile. Whole blocks that large
-# made malloc give the freed heap top back to the system after each call and
-# fault it in again on the next, and kept the largest block's temporaries
-# resident. Smaller cells, such as meta-training's stacked N = 8, H = 8 ones,
-# run as one call over all their slices.
+# of _TILE_GATE_ENTRIES // 4H rows; an untaped run reuses one tile-sized gate
+# buffer and one tanh(c') buffer for every tile. Whole blocks that large made
+# malloc return the heap top after each call and fault it in on the next, and
+# kept the largest block's temporaries resident. Smaller cells, such as
+# meta-training's N = 8, H = 8 ones, run as one call over all their slices.
 _TILE_GATE_ENTRIES = 2**14
 
 
@@ -284,6 +281,8 @@ def lstm(s, hc, wx, wh, bx, bh):
     ``pre = s wx + h wh + (bx + bh)`` split into gates i, f, o, g:
     ``c' = sigmoid(f) c + sigmoid(i) tanh(g)`` and
     ``h' = sigmoid(o) tanh(c')``, returned as one (2, ..., N, H) array.
+    An untaped call also takes weights and bias rows with fewer leading axes
+    (the cells' last ones) and broadcasts them over the cells' first ones.
     Taped and untaped calls run the same arithmetic. ``bx`` and ``bh`` get
     the same adjoint, as they would through a node for ``bx + bh``.
     """
@@ -304,21 +303,20 @@ def lstm(s, hc, wx, wh, bx, bh):
 def _lstm_forward(s, hc, wx, wh, b, keep):
     """``(hc', gates, tanh(c'))``, the last two for the backward.
 
-    A tiled run keeps them only when ``keep``; an untaped one returns None
-    for both. Row tiles of one cell equal, bit for bit, the cell run whole.
+    A tiled run keeps them only when ``keep`` (a taped call), and an untaped
+    one returns None for both; row tiles equal the whole cell bit for bit.
     """
     lead, (n, hid) = s.shape[:-2], hc.shape[-2:]
+    wlead = lead if keep else lead[len(lead) + 2 - wx.ndim :]
     shapes_ok = (
         s.ndim >= 2 and hc.shape == (2,) + s.shape[:-1] + (hid,)
-        and wx.shape == lead + (s.shape[-1], 4 * hid)
-        and wh.shape == lead + (hid, 4 * hid)
-        and b.shape == lead + (1, 4 * hid)
+        and wx.shape == wlead + (s.shape[-1], 4 * hid)
+        and wh.shape == wlead + (hid, 4 * hid)
+        and b.shape == wlead + (1, 4 * hid)
     )
     if not shapes_ok:
-        raise ShapeError(
-            f"lstm: incompatible shapes s {s.shape}, hc {hc.shape}, "
-            f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
-        )
+        raise ShapeError(f"lstm: incompatible shapes s {s.shape}, hc {hc.shape}, "
+                         f"wx {wx.shape}, wh {wh.shape}, b {b.shape}")
     if n * 4 * hid <= _TILE_GATE_ENTRIES:
         return _lstm_cell(s, hc, wx, wh, b)
     rows = _TILE_GATE_ENTRIES // (4 * hid)
@@ -329,11 +327,12 @@ def _lstm_forward(s, hc, wx, wh, b, keep):
         gates = tc = None
         gate_buf, tc_buf = np.empty((rows, 4 * hid)), np.empty((rows, hid))
     for i in np.ndindex(lead):
+        w = i[len(i) - len(wlead) :]
         for lo in range(0, n, rows):
             tile = i + (slice(lo, lo + rows),)
             both = (slice(None),) + tile
             kept = (gates[tile], tc[tile]) if keep else (gate_buf[: n - lo], tc_buf[: n - lo])
-            _lstm_cell(s[tile], hc[both], wx[i], wh[i], b[i], out[both], *kept)
+            _lstm_cell(s[tile], hc[both], wx[w], wh[w], b[w], out[both], *kept)
     return out, gates, tc
 
 

@@ -412,19 +412,29 @@ def check_10_guarded_mtl(ctx):
     )
 
 
-def check_11_deterministic_guard_convergence(ctx):
-    """Exact-gradient guarded runs drive the direction norm below 1e-4."""
-    params = ctx.selected_h8()
-    good = 0
-    worst_k = 0
+def _guarded_first_hits(params, make_problem, steps: int) -> tuple[int, int]:
+    """Exact-gradient guarded runs at alpha = 1 on ``make_problem(seed)``, seeds 0 to 9.
+
+    Returns ``(good, worst_k)``: how many runs drove |d(z_k)| below 1e-4
+    within ``steps`` steps, and the latest step at which one first did.
+    """
+    good = worst_k = 0
     for seed in range(10):
-        prob = make_quadratic_pair(8, seed=20240110 + seed)  # identity curvature: L = 1
+        prob = make_problem(seed)
         x0 = prob.initial_point(harness.derive_rng(seed, 0, harness.PURPOSE_INIT))
-        rec = gml2o_deterministic_run(prob, params, alpha=1.0, steps=5000, x0=x0)
+        rec = gml2o_deterministic_run(prob, params, alpha=1.0, steps=steps, x0=x0,
+                                      keep_iterates=False)
         hit = np.nonzero(rec.direction_norms < 1e-4)[0]
         if hit.size:
             good += 1
             worst_k = max(worst_k, int(hit[0]) + 1)
+    return good, worst_k
+
+
+def check_11_deterministic_guard_convergence(ctx):
+    """Exact-gradient guarded runs drive the direction norm below 1e-4."""
+    make = lambda seed: make_quadratic_pair(8, seed=20240110 + seed)  # identity curvature: L = 1
+    good, worst_k = _guarded_first_hits(ctx.selected_h8(), make, 5000)
     return good == 10, f"{good}/10 seeds reached |d(z_k)| < 1e-4 (worst first hit: step {worst_k})"
 
 
@@ -468,24 +478,16 @@ def _random_spd(rng: np.random.Generator, dim: int, low: float, high: float) -> 
     return 0.5 * (a + a.T)
 
 
+def _curved_pair(seed: int) -> QuadraticPair:
+    rng = np.random.default_rng(CURVED_PROBLEM_SEED + seed)
+    c1, c2 = rng.uniform(-1.0, 1.0, (2, 8))
+    a1, a2 = _random_spd(rng, 8, 0.1, 1.0), _random_spd(rng, 8, 0.1, 1.0)  # L <= 1
+    return QuadraticPair(c1, c2, a1, a2, domain=(-1.0, 1.0))
+
+
 def check_13_curved_guard_convergence(ctx):
     """Exact-gradient guarded runs drive the direction norm below 1e-4 under real curvature."""
-    params = ctx.selected_h8()
-    good = 0
-    worst_k = 0
-    for seed in range(10):
-        rng = np.random.default_rng(CURVED_PROBLEM_SEED + seed)
-        c1, c2 = rng.uniform(-1.0, 1.0, (2, 8))
-        a1, a2 = _random_spd(rng, 8, 0.1, 1.0), _random_spd(rng, 8, 0.1, 1.0)  # L <= 1
-        prob = QuadraticPair(c1, c2, a1, a2, domain=(-1.0, 1.0))
-        x0 = prob.initial_point(harness.derive_rng(seed, 0, harness.PURPOSE_INIT))
-        rec = gml2o_deterministic_run(
-            prob, params, alpha=1.0, steps=500, x0=x0, keep_iterates=False
-        )
-        hit = np.nonzero(rec.direction_norms < 1e-4)[0]
-        if hit.size:
-            good += 1
-            worst_k = max(worst_k, int(hit[0]) + 1)
+    good, worst_k = _guarded_first_hits(ctx.selected_h8(), _curved_pair, 500)
     return good == 10, (
         f"{good}/10 seeds with curvature eigenvalues in [0.1, 1] reached |d(z_k)| < 1e-4 "
         f"within 500 steps (worst first hit: step {worst_k})"

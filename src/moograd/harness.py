@@ -24,6 +24,7 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -146,6 +147,16 @@ def _problem_params(factory) -> set[str]:
     return set(inspect.signature(factory).parameters)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number other than ``true`` and ``false``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def validate_run_config(cfg: dict) -> list[str]:
     errors: list[str] = []
     if not isinstance(cfg, dict):
@@ -166,19 +177,21 @@ def validate_run_config(cfg: dict) -> list[str]:
         if entry.checkpoint and "checkpoint" not in params:
             errors.append(f"optimizer.params.checkpoint: required for {optname!r}")
         batch = params.get("guard_batch", 1)
-        if isinstance(batch, bool) or not isinstance(batch, int) or batch < 1:
+        if not _is_int(batch) or batch < 1:
             errors.append(f"optimizer.params.guard_batch: must be an integer >= 1, got {batch!r}")
     if entry and entry.samples and "sample_schedule" not in cfg:
         errors.append(f"sample_schedule: required for optimizer {optname!r}")
 
     steps = cfg.get("steps")
-    if steps is not None and (not isinstance(steps, int) or steps < 1):
+    if steps is not None and (not _is_int(steps) or steps < 1):
         errors.append(f"steps: must be an integer >= 1, got {steps!r}")
 
     sched = cfg.get("step_schedule")
     if sched is not None:
         if not isinstance(sched, dict) or set(sched) - {"kind", "alpha"}:
             errors.append("step_schedule: must be an object with fields 'kind' and 'alpha'")
+        elif not _is_number(sched.get("alpha", 0.01)):
+            errors.append(f"step_schedule.alpha: must be a number, got {sched['alpha']!r}")
         else:
             try:
                 opt.StepSchedule(sched.get("kind", "constant"), sched.get("alpha", 0.01))
@@ -191,6 +204,8 @@ def validate_run_config(cfg: dict) -> list[str]:
     if samp is not None:
         if not isinstance(samp, dict) or set(samp) - {"n_base", "q"}:
             errors.append("sample_schedule: must be an object with fields 'n_base' and 'q'")
+        elif not (_is_int(samp.get("n_base", 1)) and _is_number(samp.get("q", 0.1))):
+            errors.append("sample_schedule: n_base must be an integer and q a number")
         else:
             try:
                 opt.SampleSchedule(samp.get("n_base", 1), samp.get("q", 0.1))
@@ -199,12 +214,12 @@ def validate_run_config(cfg: dict) -> list[str]:
 
     seeds = cfg.get("seeds")
     if seeds is not None and (
-        not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds)
+        not isinstance(seeds, list) or not seeds or not all(_is_int(s) and s >= 0 for s in seeds)
     ):
-        errors.append("seeds: must be a non-empty list of integers")
+        errors.append(f"seeds: must be a non-empty list of integers >= 0, got {seeds!r}")
 
     pop = cfg.get("population")
-    if pop is not None and (not isinstance(pop, int) or pop < 1):
+    if pop is not None and (not _is_int(pop) or pop < 1):
         errors.append(f"population: must be an integer >= 1, got {pop!r}")
 
     outputs = cfg.get("outputs")
@@ -395,6 +410,18 @@ _TRAIN_KEYS = {
 }
 
 
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_COUNT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_NON_NEGATIVE = (lambda v: _is_number(v) and v >= 0, "a number >= 0")
+# (test, what it asks for) of each numeric train field
+_TRAIN_NUMBERS = {
+    "m": _POSITIVE_INT, "hidden": _POSITIVE_INT, "steps": _POSITIVE_INT, "window": _POSITIVE_INT,
+    "epochs": _COUNT, "seed": _COUNT, "start_epoch": _COUNT,
+    "meta_lr": _NON_NEGATIVE, "init_scale": _NON_NEGATIVE,
+    "alpha": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+}
+
+
 def validate_train_config(cfg: dict) -> list[str]:
     errors: list[str] = []
     if not isinstance(cfg, dict):
@@ -410,14 +437,12 @@ def validate_train_config(cfg: dict) -> list[str]:
         _check_block(block, "problem", _PROBLEMS, _problem_params, errors)
         if isinstance(block, dict) and "seed" in block.get("params", {}):
             errors.append("problem_sampler.params.seed: drawn per epoch, must not be fixed")
+    for key, (ok, want) in _TRAIN_NUMBERS.items():
+        if key in cfg and not ok(cfg[key]):
+            errors.append(f"{key}: must be {want}, got {cfg[key]!r}")
     steps, window = cfg.get("steps"), cfg.get("window")
-    if isinstance(steps, int) and isinstance(window, int):
-        if window < 1 or steps < 1 or steps % window != 0:
-            errors.append(f"window: {window} must be >= 1 and divide steps {steps}")
-    if "epochs" in cfg and (not isinstance(cfg["epochs"], int) or cfg["epochs"] < 0):
-        errors.append("epochs: must be an integer >= 0")
-    if "meta_lr" in cfg and not (isinstance(cfg["meta_lr"], (int, float)) and cfg["meta_lr"] >= 0):
-        errors.append("meta_lr: must be a number >= 0")
+    if _is_int(steps) and _is_int(window) and min(steps, window) >= 1 and steps % window != 0:
+        errors.append(f"window: {window} must divide steps {steps}")
     if cfg.get("draw_mode", "sample") not in ("sample", "exact"):
         errors.append("draw_mode: must be 'sample' or 'exact'")
     return errors
@@ -439,7 +464,7 @@ def train_ml2o_cmd(cfg: dict, out_dir: str | None = None) -> Ml2oParams:
         except CheckpointError as exc:
             raise ConfigError([f"init_checkpoint: {exc}"]) from exc
     else:
-        params = init_params(int(cfg.get("m", 2)), int(cfg.get("hidden", 8)), cfg["seed"],
+        params = init_params(cfg.get("m", 2), cfg.get("hidden", 8), cfg["seed"],
                              scale=cfg.get("init_scale", 0.1))
     out_dir = out_dir or cfg["outputs"]
     os.makedirs(out_dir, exist_ok=True)

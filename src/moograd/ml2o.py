@@ -120,8 +120,9 @@ def init_params(m: int, hidden: int, seed: int, *, scale: float = 0.1) -> Ml2oPa
 
 @dataclass
 class Ml2oState:
-    """Recurrent state, h then c: ``spec`` (2, M, N, H) of the M objective
-    cells and ``shared`` (2, N, M * H) of the shared cell."""
+    """Recurrent state, h then c: ``spec`` (2, ..., M, N, H) of the M objective
+    cells and ``shared`` (2, ..., N, M * H) of the shared cell. Leading axes,
+    such as a population's P, stack independent states."""
 
     spec: object
     shared: object
@@ -130,8 +131,9 @@ class Ml2oState:
         return Ml2oState(ad.value(self.spec), ad.value(self.shared))
 
 
-def init_state(m: int, hidden: int, n_coords: int) -> Ml2oState:
-    return Ml2oState(np.zeros((2, m, n_coords, hidden)), np.zeros((2, n_coords, m * hidden)))
+def init_state(m: int, hidden: int, n_coords: int, lead: tuple[int, ...] = ()) -> Ml2oState:
+    return Ml2oState(np.zeros((2, *lead, m, n_coords, hidden)),
+                     np.zeros((2, *lead, n_coords, m * hidden)))
 
 
 def preprocess_gradient(g: np.ndarray, p: float = 10.0) -> np.ndarray:
@@ -152,7 +154,7 @@ def preprocess_gradient(g: np.ndarray, p: float = 10.0) -> np.ndarray:
 
 
 def _direction_core(y_rows: np.ndarray, state: Ml2oState, fused) -> tuple:
-    """Shared forward pass; returns ((N,1) update column, new state).
+    """Shared forward pass; returns ((..., N, 1) update columns, new state).
 
     ``fused`` maps the :func:`fused_shapes` names to arrays or to their Vars.
     """
@@ -163,31 +165,30 @@ def _direction_core(y_rows: np.ndarray, state: Ml2oState, fused) -> tuple:
 
 
 def ml2o_direction(y_rows: np.ndarray, state: Ml2oState, params: Ml2oParams):
-    """Map the (M, N) gradient stack plus recurrent state to an update vector.
+    """Map (..., M, N) gradient stacks plus their recurrent state to update vectors.
 
-    Returns ``(g, new_state)`` with ``g`` of shape (N,). Coordinates are
-    processed as a batch, so permuting them permutes the output identically.
+    Returns ``(g, new_state)`` with ``g`` of shape (..., N); the state's
+    leading axes match the stacks'. Each stack's update equals, bit for bit,
+    that of the stack run alone. Coordinates are processed as a batch, so
+    permuting them permutes the output identically.
     """
     y_rows = np.asarray(y_rows, dtype=np.float64)
-    if y_rows.ndim != 2 or y_rows.shape[0] != params.m:
-        raise ShapeError(f"expected ({params.m}, N) gradient stack, got {y_rows.shape}")
+    if y_rows.ndim < 2 or y_rows.shape[-2] != params.m:
+        raise ShapeError(f"expected (..., {params.m}, N) gradient stacks, got {y_rows.shape}")
     g_col, new_state = _direction_core(y_rows, state, params.fused)
-    return np.asarray(g_col).reshape(-1), new_state
+    return g_col[..., 0], new_state
 
 
 def learned_directions(ys: np.ndarray, memory: dict, params: Ml2oParams) -> np.ndarray:
-    """``ml2o_direction`` of every gradient stack in ``ys`` (P, M, N), stacked as (P, N).
+    """:func:`ml2o_direction` of the gradient stacks ``ys`` (P, M, N) in one call, as (P, N).
 
-    Row p carries its own recurrent state in ``memory["ml2o_states"]``,
-    created on the first call.
+    The population's state is one :class:`Ml2oState` with a leading P axis,
+    kept in ``memory["ml2o_state"]`` and created on the first call.
     """
-    if "ml2o_states" not in memory:
-        memory["ml2o_states"] = [init_state(params.m, params.hidden, ys.shape[2]) for _ in ys]
-    states = memory["ml2o_states"]
-    out = np.empty((ys.shape[0], ys.shape[2]))
-    for p, y in enumerate(ys):
-        out[p], states[p] = ml2o_direction(y, states[p], params)
-    return out
+    if "ml2o_state" not in memory:
+        memory["ml2o_state"] = init_state(params.m, params.hidden, ys.shape[2], ys.shape[:1])
+    g, memory["ml2o_state"] = ml2o_direction(ys, memory["ml2o_state"], params)
+    return g
 
 
 def learned_step(problem, xs, k, alpha, rngs, memory, model: Ml2oParams, samples=None, *,
@@ -251,10 +252,6 @@ def _draw_fn(problem, draw_mode: str, rng: np.random.Generator):
     raise ValueError(f"draw_mode must be 'sample' or 'exact', got {draw_mode!r}")
 
 
-def _leaf_vars(tape: Tape, store: ParamStore) -> dict[str, Var]:
-    return {name: tape.param(store, name) for name in store.names()}
-
-
 def store_from_params(params: Ml2oParams) -> ParamStore:
     """A store of copies of the fused arrays, one leaf each."""
     store = ParamStore()
@@ -305,7 +302,7 @@ def meta_train(
         draw_fn = _draw_fn(problem, draw_mode, rng)
         for period in range(periods):
             tape = Tape()
-            leafs = _leaf_vars(tape, store)
+            leafs = {name: tape.param(store, name) for name in store.names()}
             mean_var, x_var, state_var = unroll_window(
                 problem, x, state, leafs, window, alpha, draw_fn, k_offset=period * window
             )

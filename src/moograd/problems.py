@@ -220,29 +220,34 @@ class ToyMtlProblem(MooProblem):
             heads.append((w, b))
         return w_enc, b_enc, heads
 
-    def _losses_on(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def _forward(self, x: np.ndarray, idx: np.ndarray):
+        """The batch ``xs[idx]``, its hidden layer, the heads and each head's max-shifted logits."""
         w_enc, b_enc, heads = self._unpack(np.asarray(x, dtype=np.float64))
-        hid = np.tanh(self.xs[idx] @ w_enc + b_enc)
-        out = np.empty(2)
-        for t, (w, b) in enumerate(heads):
+        xb = self.xs[idx]
+        hid = np.tanh(xb @ w_enc + b_enc)
+        shifted = []
+        for w, b in heads:
             logits = hid @ w + b
             logits -= logits.max(axis=1, keepdims=True)
+            shifted.append(logits)
+        return xb, hid, heads, shifted
+
+    def _losses_on(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        *_, shifted = self._forward(x, idx)
+        out = np.empty(2)
+        for t, logits in enumerate(shifted):
             logz = np.log(np.exp(logits).sum(axis=1))
             out[t] = float(np.mean(logz - logits[np.arange(idx.size), self.labels[t, idx]]))
         return out
 
     def _gradient_on(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        w_enc, b_enc, heads = self._unpack(np.asarray(x, dtype=np.float64))
-        xb = self.xs[idx]
+        xb, hid, heads, shifted = self._forward(x, idx)
         nb = idx.size
-        hid = np.tanh(xb @ w_enc + b_enc)
         dhid_dz = 1.0 - hid * hid
         jac = np.zeros((2, self.dim))
         f, h, c = self.n_features, self.hidden, self.n_classes
         head_off = f * h + h
-        for t, (w, b) in enumerate(heads):
-            logits = hid @ w + b
-            logits -= logits.max(axis=1, keepdims=True)
+        for t, ((w, _), logits) in enumerate(zip(heads, shifted)):
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(nb), self.labels[t, idx]] -= 1.0

@@ -455,6 +455,20 @@ def test_stacked_lstm_equals_per_slice_calls_bitwise(lead, n, in_w, hid, sliced)
             assert np.array_equal(one.grads[k], want), k
 
 
+@pytest.mark.parametrize("n, hid", [(5, 4), (1870, 20)], ids=["small", "slice_by_slice"])
+def test_untaped_lstm_broadcasts_weights_over_extra_leading_axes(n, hid):
+    store, _ = _lstm_inputs(16, n, 2, hid, lead=(2,))
+    p = store.params
+    s = np.random.default_rng(17).normal(size=(3, 2, n, 2))
+    hc = np.random.default_rng(18).normal(size=(2, 3, 2, n, hid))
+    out = ad.lstm(s, hc, *(p[k] for k in LSTM_ARGS[2:]))
+    for j in range(3):
+        assert np.array_equal(out[:, j], ad.lstm(s[j], hc[:, j], *(p[k] for k in LSTM_ARGS[2:])))
+    tape = ad.Tape()
+    with pytest.raises(ad.ShapeError, match="lstm"):  # a taped call does not broadcast
+        ad.lstm(s, hc, *(tape.param(store, k) for k in LSTM_ARGS[2:]))
+
+
 @pytest.mark.parametrize("lead, n, hid", [((), 1870, 20), ((2,), 999, 8)],
                          ids=["one_cell", "stacked"])
 def test_tiled_lstm_equals_whole_cell_bitwise(lead, n, hid):
@@ -501,13 +515,20 @@ def _fused_node_loss(node, rng):
         # f_k peaks at index k over f_{k-1}: distinct argmaxes, so no f_k's adjoint cancels
         store = scalar_store(**{f"f{k}": rng.normal(size=4) + 5.0 * np.eye(4)[k] for k in range(4)})
         loss = lambda p: ad.window_loss([p[f"f{k}"] for k in range(4)])
-    elif node == "concat_h":
-        store, r = scalar_store(hc=rng.normal(size=(2, 3, 4, 2))), rng.normal(size=(4, 6))
+    elif node.startswith("concat_h"):
+        lead = (2,) if node.endswith("stacked") else ()
+        store = scalar_store(hc=rng.normal(size=(2, *lead, 3, 4, 2)))
+        r = rng.normal(size=lead + (4, 6))
         loss = lambda p: weighted_sum(ad.concat_h(p["hc"]), r)
     elif node == "head":
         store = scalar_store(hc=rng.normal(size=(2, 4, 3)), w=rng.normal(size=(3, 1)),
                              b=rng.normal(size=(1, 1)))
         loss = lambda p: half_square(ad.head(p["hc"], p["w"], p["b"]))
+    elif node == "head_stacked":
+        store = scalar_store(hc=rng.normal(size=(2, 2, 4, 3)), w=rng.normal(size=(3, 1)),
+                             b=rng.normal(size=(1, 1)))
+        r = rng.normal(size=(2, 4, 1))
+        loss = lambda p: weighted_sum(ad.head(p["hc"], p["w"], p["b"]), r)
     else:
         store = scalar_store(x=rng.normal(size=(3, 1)), d=rng.normal(size=(3, 1)))
         loss = lambda p: half_square(ad.sub_scaled(p["x"], p["d"], 0.35))
@@ -520,7 +541,8 @@ def _fused_node_loss(node, rng):
 
 
 @pytest.mark.parametrize("node", ["quadratic_identity", "quadratic_curved", "window_loss",
-                                  "concat_h", "head", "sub_scaled"])
+                                  "concat_h", "concat_h_stacked", "head", "head_stacked",
+                                  "sub_scaled"])
 def test_fused_node_gradient_matches_fd(node):
     store, build = _fused_node_loss(node, np.random.default_rng(21))
     check_fd(store, build)

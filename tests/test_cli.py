@@ -77,6 +77,49 @@ def train_cfg(tmp_path, **over):
     return str(path)
 
 
+MALFORMED_RUN = [
+    ("steps", True, "steps: must be an integer >= 1"),
+    ("seeds", [True], "seeds: must be a non-empty list of integers"),
+    ("seeds", [-1], "seeds: must be a non-empty list of integers >= 0"),
+    ("population", True, "population: must be an integer >= 1"),
+    ("step_schedule", {"kind": "constant", "alpha": True}, "step_schedule.alpha"),
+    ("sample_schedule", {"n_base": True, "q": 0.1}, "sample_schedule: n_base"),
+]
+MALFORMED_TRAIN = [
+    ("window", True, "window: must be an integer >= 1"),
+    ("epochs", True, "epochs: must be an integer >= 0"),
+    ("meta_lr", True, "meta_lr: must be a number >= 0"),
+    ("m", True, "m: must be an integer >= 1"),
+    ("hidden", 0, "hidden: must be an integer >= 1"),
+    ("hidden", 2.5, "hidden: must be an integer >= 1"),
+    ("alpha", -1, "alpha: must be a number > 0"),
+    ("alpha", "x", "alpha: must be a number > 0"),
+    ("init_scale", -1, "init_scale: must be a number >= 0"),
+    ("seed", "s", "seed: must be an integer >= 0"),
+    ("seed", True, "seed: must be an integer >= 0"),
+    ("start_epoch", -1, "start_epoch: must be an integer >= 0"),
+]
+
+
+def json_ids(cases):
+    return [f"{field}={json.dumps(value)}" for field, value, _ in cases]
+
+
+@pytest.mark.parametrize("field, value, message", MALFORMED_RUN, ids=json_ids(MALFORMED_RUN))
+def test_malformed_run_field_is_config_error(tmp_path, capsys, field, value, message):
+    # JSON true is not the integer 1
+    assert main(["run", "--config", write_cfg(tmp_path, **{field: value})]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("field, value, message", MALFORMED_TRAIN, ids=json_ids(MALFORMED_TRAIN))
+def test_malformed_train_field_is_config_error(tmp_path, capsys, field, value, message):
+    assert main(["train-ml2o", "--config", train_cfg(tmp_path, **{field: value})]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "train")
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     # a valid config whose training diverges: meta_lr blows the weights up after two epochs
     cfg = train_cfg(tmp_path, steps=2, window=2, meta_lr=1e100, epochs=4)

@@ -1,5 +1,5 @@
 """Pinned CSV content hashes for every optimizer on tiny population configs,
-pinned bits of meta-training, and pinned bits of the M = 2 min-norm solve.
+pinned bits of meta-training, and pinned bits of the min-norm solve.
 
 The hashes are literal: a change to a run driver, an oracle, the solver or
 the tape that moves a single CSV byte (the wall-time column excluded) or a
@@ -296,13 +296,39 @@ def two_objective_solves():
                 yield w * np.sqrt(scale), 1e-10 * scale
 
 
-def test_two_objective_min_norm_bits_match_golden():
-    """Every field of every M = 2 ``solve_min_norm`` above, bit for bit."""
+def many_objective_solves():
+    """Criterion 2's M >= 3 instances, drawn as that criterion draws all 1200,
+    then the M >= 3 entries of ``hard_battery(17)`` at the scales above."""
+    rng = np.random.default_rng(20240002)
+    for _ in range(1200):
+        m = int(rng.integers(2, 6))
+        w = rng.normal(size=(m, int(rng.integers(1, 10))))
+        if m >= 3:
+            yield w, 1e-10
+    for scale in (1e-6, 1.0, 1e6):
+        for w in hard_battery(17):
+            if w.shape[0] >= 3:
+                yield w * np.sqrt(scale), 1e-10 * scale
+
+
+def solve_digest(solves):
     h = hashlib.sha256()
-    for w, tol in two_objective_solves():
+    for w, tol in solves:
         sol = solve_min_norm(w, tol=tol)
         for name in SOLUTION_FIELDS:
             h.update(np.asarray(getattr(sol, name)).tobytes())
-    assert h.hexdigest() == (
+    return h.hexdigest()
+
+
+def test_two_objective_min_norm_bits_match_golden():
+    """Every field of every M = 2 ``solve_min_norm`` above, bit for bit."""
+    assert solve_digest(two_objective_solves()) == (
         "e4b7e5756752314b5ba8aa77dd3d351fe1664555102a25ee4d7ef4772f800826"
+    )
+
+
+def test_many_objective_min_norm_bits_match_golden():
+    """Every field of every M >= 3 ``solve_min_norm`` above, bit for bit."""
+    assert solve_digest(many_objective_solves()) == (
+        "17442ff6889108950475b63c1eb09e7a8948ec1309df0d714a6b2856d69ed0bd"
     )

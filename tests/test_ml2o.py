@@ -2,14 +2,18 @@ import gc
 import json
 import math
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
 from moograd import autodiff as ad
+from moograd import ml2o
+from moograd.guard import _guarded_loop, gml2o_det_step
 from moograd.ml2o import (
     GATES,
     CheckpointError,
+    Ml2oState,
     check_compatible,
     evaluate_meta_loss,
     init_params,
@@ -24,7 +28,8 @@ from moograd.ml2o import (
     store_from_params,
     unroll_window,
 )
-from moograd.problems import make_quadratic_pair
+from moograd.optimizers import SampleSchedule, StepSchedule, run_population, run_steps
+from moograd.problems import make_quadratic_pair, make_toy_mtl
 
 
 def make_cell(seed, in_w, hid, scale=0.5):
@@ -170,10 +175,91 @@ def test_ml2o_step_zero_alpha_state_still_advances():
     memory = {}
     xs1, *_ = learned_step(prob, x0[None], 1, 0.0, None, memory, params, exact=True)
     assert np.array_equal(x0, xs1[0])
-    assert not np.allclose(memory["ml2o_states"][0].shared[0], init_state(2, 4, 3).shared[0])
+    assert not np.allclose(memory["ml2o_state"].shared[0, 0], init_state(2, 4, 3).shared[0])
     params0 = init_params(2, 4, seed=6, scale=0.0)
     xs2, *_ = learned_step(prob, x0[None], 1, 0.5, None, {}, params0, exact=True)
     assert np.array_equal(x0, xs2[0])  # zero head leaves x unchanged
+
+
+def test_unstacked_direction_is_a_row_of_the_stacked_one():
+    params = init_params(2, 3, seed=8)
+    y = np.random.default_rng(5).normal(size=(3, 2, 6))
+    stacked = init_state(2, 3, 6, (3,))
+    assert stacked.spec.shape == (2, 3, 2, 6, 3) and stacked.shared.shape == (2, 3, 6, 6)
+    gs, new = ml2o_direction(y, stacked, params)
+    assert gs.shape == (3, 6)
+    for p in range(3):
+        g, one = ml2o_direction(y[p], init_state(2, 3, 6), params)
+        assert g.shape == (6,)
+        assert np.array_equal(g, gs[p])
+        assert np.array_equal(one.spec, new.spec[:, p])
+        assert np.array_equal(one.shared, new.shared[:, p])
+    with pytest.raises(ad.ShapeError, match="lstm"):  # an unstacked state for stacked input
+        ml2o_direction(y, init_state(2, 3, 6), params)
+    with pytest.raises(ad.ShapeError, match="gradient stacks"):
+        ml2o_direction(y[0, 0], init_state(2, 3, 6), params)
+
+
+def learned_population(name, params, guard_seeds):
+    """The ``name`` population step, its guard batches drawn from ``guard_seeds``."""
+    samples = SampleSchedule(2, 0.3)
+    if name == "ml2o":
+        return partial(learned_step, model=params, samples=samples)
+    if name == "gml2o":
+        return partial(_guarded_loop, model=params, samples=samples, guard_batch=8,
+                       guard_rngs=[np.random.default_rng(100 + s) for s in guard_seeds])
+    return partial(gml2o_det_step, model=params)
+
+
+LEARNED = ["ml2o", "gml2o", "gml2o_det"]
+
+
+def small_mtl():
+    return make_toy_mtl(seed=4, samples=64, batch=8, hidden=5, input_dim=4, classes=3)
+
+
+@pytest.mark.parametrize("name", LEARNED)
+def test_population_step_makes_one_direction_call(name, monkeypatch):
+    calls, direction = [], ml2o.ml2o_direction
+
+    def counted(y, state, params):
+        calls.append(np.shape(y))
+        return direction(y, state, params)
+
+    monkeypatch.setattr(ml2o, "ml2o_direction", counted)
+    prob = small_mtl()
+    x0s = np.random.default_rng(3).normal(scale=0.5, size=(5, prob.dim))
+    step = learned_population(name, init_params(2, 3, seed=2), range(5))
+    run_population(prob, step, x0s, 4, StepSchedule("constant", 0.3),
+                   [np.random.default_rng(p) for p in range(5)])
+    assert calls == [(5, 2, prob.dim)] * 4
+
+
+@pytest.mark.parametrize("name", LEARNED)
+def test_learned_population_rows_equal_solo_runs_bitwise(name):
+    prob, params, sched = small_mtl(), init_params(2, 3, seed=2), StepSchedule("constant", 0.3)
+    x0s = np.random.default_rng(3).normal(scale=0.5, size=(5, prob.dim))
+    records = run_population(prob, learned_population(name, params, range(5)), x0s, 6, sched,
+                             [np.random.default_rng(p) for p in range(5)], keep_iterates=True)
+    for p, rec in enumerate(records):
+        alone = run_steps(prob, learned_population(name, params, [p]), x0s[p], 6, sched,
+                          np.random.default_rng(p))
+        assert np.array_equal(rec.iterates, alone.iterates)
+        for col in ("losses", "direction_norms", "n_samples", "guard_codes"):
+            assert np.array_equal(getattr(rec, col), getattr(alone, col)), col
+        assert rec.meta.get("decisions") == alone.meta.get("decisions")
+
+
+def test_population_state_is_one_stacked_state():
+    prob, params = make_quadratic_pair(4, seed=1), init_params(2, 3, seed=6)
+    xs = np.random.default_rng(0).normal(size=(5, 4))
+    memory = {}
+    learned_step(prob, xs, 1, 0.1, None, memory, params, exact=True)
+    state = memory["ml2o_state"]
+    assert isinstance(state, Ml2oState)
+    assert state.spec.shape == (2, 5, 2, 4, 3) and state.shared.shape == (2, 5, 4, 6)
+    learned_step(prob, xs, 2, 0.1, None, memory, params, exact=True)
+    assert memory["ml2o_state"].spec.shape == (2, 5, 2, 4, 3)
 
 
 def test_meta_loss_values():
