@@ -52,6 +52,9 @@ CASES = {
     "quadratic_pair/gml2o_det": (QUADRATIC, "gml2o_det", {"checkpoint": CHECKPOINT}),
     "toy_mtl/mgda": (TOY_MTL, "mgda", {}),
     "toy_mtl/dssmg": (TOY_MTL, "dssmg", {}),
+    "toy_mtl/ml2o": (TOY_MTL, "ml2o", {"checkpoint": CHECKPOINT}),
+    # guard batches of 16 are real subsets of the 64 samples
+    "toy_mtl/gml2o": (TOY_MTL, "gml2o", {"checkpoint": CHECKPOINT, "guard_batch": 16}),
 }
 
 # seed 1 members 0..2, then seed 2 members 0..2
@@ -168,6 +171,14 @@ GOLDEN = {
         "a195757e52acb16bdd0b52d72fdc6333b0e66068b365d9e6963a8f0883f2ac1f",
         "a229a6845acfdcce582dc78819bf62a51a0d3c52a4767b78ffefdaac9b89f60c",
     ],
+    "toy_mtl/gml2o": [
+        "79c42541f5436d368ad4c07104f153b645eecd7fe582221320cb179db3bca7a2",
+        "35c5c34aba944ec4b093b91ec4335ed71403c93ca251cc30f602fd733cbcdedf",
+        "78d32cb20aed87c7f972d574099b9ccf99daf8a3b0f41fa97d24e373f188c715",
+        "6bb6f3e8b5ce1e1930cc9cd71fb09dbf2ac3cfd4174f1db46020cdf8365ff56a",
+        "2b245c2e60962d5e6e66c953865537843a448863e10786c46823d78aa75be1b9",
+        "48dd167a1acfb4272ff4f7d96dc4d2c25285514cda8d7b4fce95d4422327170d",
+    ],
     "toy_mtl/mgda": [
         "d1bb94706fec5475ca50ba0510dad1a51aa0c9c60644a1ec216f445deef188cb",
         "79196f34a2c41cd3495a5a92492f87649bb21fe115e50458141d7110137e359f",
@@ -175,6 +186,14 @@ GOLDEN = {
         "a91e5f6ffdae164c1d9aea9d665c6bb39d27f0bb1321dfa4f4070c290d1750f0",
         "84281161fa8f5182b4002756e131c13f952368ec52b14047df795b58b3271606",
         "b010c29ec2225e709141e698ab3dd047bd6cec51dd02e46a2c32c47c14a9eb6f",
+    ],
+    "toy_mtl/ml2o": [
+        "e4be64849610f986db257f51dec5d96059eca5a67cae5000a8505fedad045467",
+        "805ba30b3d7c51f2170b1017a6291a4cd04379753d62ef4a5678169a235b52cf",
+        "7aefc10d1c0c3f62312551573c17415b754fa634a41a886bfe480dba48b51bc2",
+        "7205fb278d8dd88de60e9290cd903a3bd52b71837b91f35737f50e2c5375ed2b",
+        "b7104d85a1b48388acb98c3d0744e26c243edf86b90ae9b3916f41476cfe91ce",
+        "88ea4eda7dee1aa42c49d36c262f0cbb83845e0092cbaa97e19cfe8a004ab1f4",
     ],
 }
 
