@@ -21,7 +21,6 @@ from .ml2o import (
     Ml2oParams,
     init_params,
     load_checkpoint,
-    meta_loss,
     meta_train,
     ml2o_direction,
     preprocess_gradient,
@@ -48,7 +47,6 @@ __all__ = [
     "make_problem",
     "make_quadratic_pair",
     "make_toy_mtl",
-    "meta_loss",
     "meta_train",
     "min_norm_2obj_oracle",
     "ml2o_direction",

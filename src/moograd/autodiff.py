@@ -42,10 +42,10 @@ class ShapeError(ValueError):
     pass
 
 
-def as_tensor(x, name: str = "tensor", check_finite: bool = True) -> np.ndarray:
-    """Coerce to a float64 array, rejecting NaN/Inf when ``check_finite``."""
+def as_tensor(x, name: str = "tensor") -> np.ndarray:
+    """Coerce to a float64 array, rejecting NaN/Inf."""
     arr = np.asarray(x, dtype=np.float64)
-    if check_finite and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

@@ -37,7 +37,6 @@ from .optimizers import (
     StepSchedule,
     dssmg_step,
     mgda_step,
-    run_population,
     run_steps,
 )
 from .problems import QuadraticPair, make_quadratic_pair, make_toy_mtl
@@ -376,7 +375,7 @@ def check_10_guarded_mtl(ctx):
     t0 = time.perf_counter()
     params = ctx.h20_model()
     prob = make_toy_mtl(seed=4242)
-    sched = StepSchedule("constant", 0.5)
+    alpha = 0.5
     samp = SampleSchedule(1, 0.1)
     seeds = range(10)
     x0s = np.array([prob.initial_point(harness.derive_rng(s, 0, harness.PURPOSE_INIT)) for s in seeds])
@@ -384,22 +383,21 @@ def check_10_guarded_mtl(ctx):
     def streams(purpose):
         return [harness.derive_rng(s, 0, purpose) for s in seeds]
 
-    finals = {}
-    dssmg = functools.partial(dssmg_step, samples=samp)
-    recs = run_population(prob, dssmg, x0s, 700, sched, streams(harness.PURPOSE_DRAWS))
-    finals["dssmg"] = [rec.final_losses for rec in recs]
-    # the 7000 ml2o steps are stepped bare: recording them would add a
-    # full-data evaluation per step that the comparison does not read
-    xs, memory, draws = x0s, {}, streams(harness.PURPOSE_DRAWS)
-    for k in range(1, 701):
-        xs = learned_step(prob, xs, k, sched.alpha, draws, memory, params, samp)[0]
-    finals["ml2o"] = prob.eval_many(xs)
-    guarded = functools.partial(
-        _guarded_loop, model=params, samples=samp,
-        guard_rngs=streams(harness.PURPOSE_GUARD), guard_batch=512,
-    )
-    recs = run_population(prob, guarded, x0s, 700, sched, streams(harness.PURPOSE_DRAWS))
-    finals["gml2o"] = prob.eval_many(np.array([rec.meta["final_x"] for rec in recs]))
+    def final_losses(step):
+        """Full-data losses after 700 steps of the population. The steps are not
+        recorded: that would add a full-data evaluation per step that nothing reads."""
+        xs, memory, draws = x0s, {}, streams(harness.PURPOSE_DRAWS)
+        for k in range(1, 701):
+            xs = step(prob, xs, k, alpha, draws, memory)[0]
+        return prob.eval_many(xs)
+
+    finals = {
+        "dssmg": final_losses(functools.partial(dssmg_step, samples=samp)),
+        "ml2o": final_losses(functools.partial(learned_step, model=params, samples=samp)),
+        "gml2o": final_losses(functools.partial(
+            _guarded_loop, model=params, samples=samp,
+            guard_rngs=streams(harness.PURPOSE_GUARD), guard_batch=512)),
+    }
     means = {k: np.mean(v, axis=0) for k, v in finals.items()}
     bound = np.minimum(means["dssmg"], means["ml2o"]) + 0.05
     elapsed = time.perf_counter() - t0

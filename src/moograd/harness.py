@@ -47,7 +47,7 @@ from .ml2o import (
     save_checkpoint,
 )
 from .problems import _REGISTRY as _PROBLEMS
-from .problems import make_problem
+from .problems import UnsupportedCapability, make_problem
 from .trace import GUARD_CHOICES, RunRecord
 
 SCHEMA_VERSION = 1
@@ -69,22 +69,23 @@ class Optimizer:
     """A registry entry: the population step and what a run of it needs.
 
     The step is called as ``step(problem, xs, k, alpha, rngs, memory,
-    **bound)``. The run binds ``samples`` when the step takes it, ``model``
-    (the loaded checkpoint) when ``checkpoint`` is set, ``guard_rngs`` (the
-    purpose-2 streams) when ``guard`` is set, and the config params.
+    **bound)``. The run binds each of these that the step takes: ``samples``,
+    ``model`` (the checkpoint, which the config must then name) and
+    ``guard_rngs`` (the purpose-2 streams); then the config params.
     """
 
     step: Callable
     samples: bool = False  # a sample_schedule is required
-    checkpoint: bool = False  # optimizer.params.checkpoint is required
-    guard: bool = False  # guard batches draw from the purpose-2 streams
     constant_step: bool = False  # the step schedule must be constant
+
+    def takes(self, name: str) -> bool:
+        return name in inspect.signature(self.step).parameters
 
     def params(self) -> set[str]:
         """Config params accepted: the step's keyword-only parameters, plus the checkpoint."""
         sig = inspect.signature(self.step).parameters.values()
         names = {p.name for p in sig if p.kind is inspect.Parameter.KEYWORD_ONLY}
-        return names | ({"checkpoint"} if self.checkpoint else set())
+        return names | ({"checkpoint"} if self.takes("model") else set())
 
 
 OPTIMIZERS: dict[str, Optimizer] = {
@@ -98,9 +99,9 @@ OPTIMIZERS: dict[str, Optimizer] = {
     "adam": Optimizer(opt.adam_step),
     "rmsprop": Optimizer(opt.rmsprop_step),
     "adadelta": Optimizer(opt.adadelta_step),
-    "ml2o": Optimizer(learned_step, checkpoint=True),
-    "gml2o": Optimizer(_guarded_loop, samples=True, checkpoint=True, guard=True),
-    "gml2o_det": Optimizer(gml2o_det_step, checkpoint=True, constant_step=True),
+    "ml2o": Optimizer(learned_step),
+    "gml2o": Optimizer(_guarded_loop, samples=True),
+    "gml2o_det": Optimizer(gml2o_det_step, constant_step=True),
 }
 
 _RUN_KEYS = {
@@ -147,6 +148,14 @@ def _problem_params(factory) -> set[str]:
     return set(inspect.signature(factory).parameters)
 
 
+def _build_problem(name: str, params: dict, field: str):
+    """``make_problem(name, **params)``; a factory's ValueError becomes a ConfigError on ``field``."""
+    try:
+        return make_problem(name, **params)
+    except ValueError as exc:
+        raise ConfigError([f"{field}: {exc}"]) from exc
+
+
 def _is_int(value) -> bool:
     """A JSON integer: ``true`` and ``false`` are not one."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -174,7 +183,7 @@ def validate_run_config(cfg: dict) -> list[str]:
     )
     optname = cfg["optimizer"]["name"] if entry else None
     if params is not None:
-        if entry.checkpoint and "checkpoint" not in params:
+        if entry.takes("model") and "checkpoint" not in params:
             errors.append(f"optimizer.params.checkpoint: required for {optname!r}")
         batch = params.get("guard_batch", 1)
         if not _is_int(batch) or batch < 1:
@@ -306,21 +315,25 @@ def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
         raise ConfigError(errors)
     entry = OPTIMIZERS[cfg["optimizer"]["name"]]
     bound = dict(cfg["optimizer"].get("params", {}))
-    if entry.checkpoint:
+    if entry.takes("model"):
         try:
             bound["model"] = load_checkpoint(bound.pop("checkpoint"))
         except CheckpointError as exc:
             raise ConfigError([f"optimizer.params.checkpoint: {exc}"]) from exc
+    problem = _build_problem(cfg["problem"]["name"], cfg["problem"].get("params", {}),
+                             "problem.params")
+    if "model" in bound and bound["model"].m != problem.objectives:
+        raise ConfigError([f"optimizer.params.checkpoint: the checkpoint has {bound['model'].m} "
+                           f"objectives, the problem has {problem.objectives}"])
     out_dir = out_dir or cfg["outputs"]
     os.makedirs(out_dir, exist_ok=True)
 
-    problem = make_problem(cfg["problem"]["name"], **cfg["problem"].get("params", {}))
     sched_cfg = cfg["step_schedule"]
     schedule = opt.StepSchedule(sched_cfg.get("kind", "constant"), sched_cfg.get("alpha", 0.01))
     samples = None
     if "sample_schedule" in cfg:
         samples = opt.SampleSchedule(cfg["sample_schedule"]["n_base"], cfg["sample_schedule"]["q"])
-    if "samples" in inspect.signature(entry.step).parameters:
+    if entry.takes("samples"):
         bound["samples"] = samples
 
     population = cfg.get("population")
@@ -332,7 +345,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
         return [derive_rng(seed, 0 if member is None else member, purpose) for seed, member in tasks]
 
     xs0 = np.array([problem.initial_point(rng) for rng in streams(PURPOSE_INIT)])
-    if entry.guard:
+    if entry.takes("guard_rngs"):
         bound["guard_rngs"] = streams(PURPOSE_GUARD)
     step = functools.partial(entry.step, **bound)
 
@@ -434,7 +447,7 @@ def validate_train_config(cfg: dict) -> list[str]:
             errors.append(f"missing field {key!r}")
     block = cfg.get("problem_sampler")
     if block is not None:
-        _check_block(block, "problem", _PROBLEMS, _problem_params, errors)
+        _check_block(block, "problem_sampler", _PROBLEMS, _problem_params, errors)
         if isinstance(block, dict) and "seed" in block.get("params", {}):
             errors.append("problem_sampler.params.seed: drawn per epoch, must not be fixed")
     for key, (ok, want) in _TRAIN_NUMBERS.items():
@@ -466,11 +479,21 @@ def train_ml2o_cmd(cfg: dict, out_dir: str | None = None) -> Ml2oParams:
     else:
         params = init_params(cfg.get("m", 2), cfg.get("hidden", 8), cfg["seed"],
                              scale=cfg.get("init_scale", 0.1))
-    out_dir = out_dir or cfg["outputs"]
-    os.makedirs(out_dir, exist_ok=True)
-
     pname = cfg["problem_sampler"]["name"]
     pparams = cfg["problem_sampler"].get("params", {})
+    # one problem of the family, to check the config before anything is written
+    probe = _build_problem(pname, {"seed": 0, **pparams}, "problem_sampler.params")
+    if probe.objectives != params.m:
+        field = "init_checkpoint" if cfg.get("init_checkpoint") else "m"
+        raise ConfigError([f"{field}: the optimizer has {params.m} objectives, "
+                           f"problem {pname!r} has {probe.objectives}"])
+    try:
+        probe.eval_terms(np.zeros((probe.dim, 1)))
+    except UnsupportedCapability as exc:
+        raise ConfigError([f"problem_sampler.name: {exc}; meta-training needs "
+                           "tape-differentiable losses"]) from exc
+    out_dir = out_dir or cfg["outputs"]
+    os.makedirs(out_dir, exist_ok=True)
 
     def sampler(rng: np.random.Generator):
         return make_problem(pname, seed=int(rng.integers(2**31 - 1)), **pparams)

@@ -104,15 +104,15 @@ def hypervolume_3d(front, reference) -> float:
     return float(hv)
 
 
-def front_reference(*fronts, margin: float = 0.1) -> np.ndarray:
-    """Componentwise max over all fronts, pushed out by a relative margin."""
+def front_reference(*fronts) -> np.ndarray:
+    """Componentwise max over all fronts, pushed out by a tenth of their span."""
     stacked = np.vstack([np.asarray(f, dtype=np.float64) for f in fronts if len(f)])
     top = stacked.max(axis=0)
     span = top - stacked.min(axis=0)
-    return top + margin * np.maximum(span, 1e-12)
+    return top + 0.1 * np.maximum(span, 1e-12)
 
 
-def theorem_monitor(run: RunRecord, problem, tol: float = 1e-10) -> MonitorSeries:
+def theorem_monitor(run: RunRecord, problem) -> MonitorSeries:
     """Recompute exact criticality along a recorded run and accumulate
     the step-size-weighted partial sums (the quantity the convergence
     results bound)."""
@@ -123,6 +123,6 @@ def theorem_monitor(run: RunRecord, problem, tol: float = 1e-10) -> MonitorSerie
     ks = np.arange(1, run.steps + 1)
     crit_sq = np.empty(run.steps)
     for i in range(run.steps):
-        crit = criticality_measure(problem, run.iterates[i], tol=tol)
+        crit = criticality_measure(problem, run.iterates[i])
         crit_sq[i] = crit * crit
     return MonitorSeries(ks, run.alphas, crit_sq, np.cumsum(run.alphas * crit_sq))

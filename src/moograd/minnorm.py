@@ -313,8 +313,8 @@ def simplex_grid_oracle(w, resolution: int = 500) -> np.ndarray:
     return lams[int(np.argmin(objs))]
 
 
-def criticality_measure(problem, x, tol: float = 1e-10) -> float:
+def criticality_measure(problem, x) -> float:
     """``|grad_F(x)' lam*(x)|`` from the exact Jacobian; zero iff Pareto critical."""
     jac = problem.full_jacobian(np.asarray(x, dtype=np.float64))
-    sol = solve_min_norm(jac, tol=tol)
+    sol = solve_min_norm(jac)
     return float(np.linalg.norm(sol.combined))

@@ -25,11 +25,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, ShapeError, Tape, Var
+from .autodiff import ParamStore, ShapeError, Tape
 from .optimizers import descend, sample_size
 
 GATES = ("i", "f", "g", "o")
 CHECKPOINT_VERSION = 1
+PREPROCESS_P = 10.0  # the gradient encoding's scale p (:func:`preprocess_gradient`)
 
 
 class CheckpointError(RuntimeError):
@@ -136,20 +137,19 @@ def init_state(m: int, hidden: int, n_coords: int, lead: tuple[int, ...] = ()) -
                      np.zeros((2, *lead, n_coords, m * hidden)))
 
 
-def preprocess_gradient(g: np.ndarray, p: float = 10.0) -> np.ndarray:
+def preprocess_gradient(g: np.ndarray) -> np.ndarray:
     """Two-channel bounded encoding of a gradient vector or stack of them.
 
     Coordinates with |g| >= e^-p map to (log|g|/p, sign g); smaller ones to
-    (-1, e^p * g). A (..., N) input gives a (..., N, 2) array of constants.
+    (-1, e^p * g), with p = :data:`PREPROCESS_P`. A (..., N) input gives a
+    (..., N, 2) array of constants.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
     g = np.asarray(g, dtype=np.float64)
     out = np.empty(g.shape + (2,))
     mag = np.abs(g)
-    big = mag >= math.exp(-p)
-    out[..., 0] = np.where(big, np.log(np.maximum(mag, 1e-300)) / p, -1.0)
-    out[..., 1] = np.where(big, np.sign(g), math.exp(p) * g)
+    big = mag >= math.exp(-PREPROCESS_P)
+    out[..., 0] = np.where(big, np.log(np.maximum(mag, 1e-300)) / PREPROCESS_P, -1.0)
+    out[..., 1] = np.where(big, np.sign(g), math.exp(PREPROCESS_P) * g)
     return out
 
 
@@ -206,36 +206,23 @@ def learned_step(problem, xs, k, alpha, rngs, memory, model: Ml2oParams, samples
     return descend(xs, alpha, learned_directions(grads, memory, model), n)
 
 
-def meta_loss(f_curr, f_prev):
-    """Worst per-objective increase max_i(f_curr_i - f_prev_i): the one-step window loss.
-
-    Takes two (M,) loss vectors, arrays or Vars; returns a float for plain
-    inputs or a Var when either input is taped.
-    """
-    out = ad.window_loss((f_prev, f_curr))
-    return out if isinstance(out, Var) else float(out)
-
-
-def unroll_window(problem, x_col, state: Ml2oState, fused, window: int,
-                  alpha, draw_fn: Callable[[int, np.ndarray], np.ndarray],
-                  k_offset: int = 0):
+def unroll_window(problem, x_col, state: Ml2oState, fused, window: int, alpha: float,
+                  draw_fn: Callable[[int, np.ndarray], np.ndarray]):
     """Unroll ``window`` learned steps; return their window loss, the iterate and the state.
 
     The window loss is the mean over the steps of the worst per-objective
     increase (:func:`ad.window_loss`). ``draw_fn(j, x_value)`` supplies the
-    (M, N) gradient stack for local step j; its output is detached.
-    ``alpha`` is a constant or a callable of the global step index (1-based,
-    offset by ``k_offset``). ``fused`` maps the :func:`fused_shapes` names to
+    (M, N) gradient stack for local step j; its output is detached. Every
+    step has size ``alpha``. ``fused`` maps the :func:`fused_shapes` names to
     plain arrays (evaluation) or tape Vars (training); both run the same
     arithmetic.
     """
-    alpha_at = alpha if callable(alpha) else (lambda k: alpha)
     fs = [problem.eval_terms(x_col)]
     x = x_col
     for j in range(window):
         y_rows = draw_fn(j, ad.value(x).reshape(-1))
         g_col, state = _direction_core(np.asarray(y_rows, dtype=np.float64), state, fused)
-        x = ad.sub_scaled(x, g_col, alpha_at(k_offset + j + 1))
+        x = ad.sub_scaled(x, g_col, alpha)
         fs.append(problem.eval_terms(x))
     return ad.window_loss(fs), x, state
 
@@ -303,9 +290,8 @@ def meta_train(
         for period in range(periods):
             tape = Tape()
             leafs = {name: tape.param(store, name) for name in store.names()}
-            mean_var, x_var, state_var = unroll_window(
-                problem, x, state, leafs, window, alpha, draw_fn, k_offset=period * window
-            )
+            mean_var, x_var, state_var = unroll_window(problem, x, state, leafs, window, alpha,
+                                                       draw_fn)
             loss_val = float(ad.value(mean_var))
             if not math.isfinite(loss_val):
                 raise MetaTrainDiverged(
@@ -329,15 +315,14 @@ def evaluate_meta_loss(
     steps: int,
     alpha: float,
     seed: int,
-    draw_mode: str = "exact",
 ) -> float:
-    """Mean meta-loss of running the frozen optimizer on each problem."""
+    """Mean meta-loss of running the frozen optimizer on each problem, on exact gradients."""
     totals = []
     for idx, problem in enumerate(problems):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(105, idx)))
         x = problem.initial_point(rng).reshape(-1, 1)
         state = init_state(params.m, params.hidden, problem.dim)
-        draw_fn = _draw_fn(problem, draw_mode, rng)
+        draw_fn = _draw_fn(problem, "exact", rng)
         mean, _, _ = unroll_window(problem, x, state, params.fused, steps, alpha, draw_fn)
         totals.append(float(ad.value(mean)))
     return float(np.mean(totals))

@@ -183,7 +183,7 @@ class ToyMtlProblem(MooProblem):
     batch of ``batch_size`` samples.
     """
 
-    def __init__(self, xs, labels, batch_size: int, hidden: int = 50, init_scale: float = 0.05):
+    def __init__(self, xs, labels, batch_size: int, hidden: int = 50):
         xs = as_tensor(xs, "xs")
         labels = np.asarray(labels, dtype=np.int64)
         if xs.ndim != 2 or labels.shape != (2, xs.shape[0]):
@@ -196,7 +196,6 @@ class ToyMtlProblem(MooProblem):
         self.n_samples, self.n_features = xs.shape
         self.n_classes = int(labels.max()) + 1
         self.hidden = int(hidden)
-        self.init_scale = float(init_scale)
         self.objectives = 2
         self.dim = (
             self.n_features * self.hidden
@@ -283,7 +282,8 @@ class ToyMtlProblem(MooProblem):
         return rng.choice(self.n_samples, size=min(size, self.n_samples), replace=False)
 
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(0.0, self.init_scale, self.dim)
+        """Every coordinate drawn from N(0, 0.05^2)."""
+        return rng.normal(0.0, 0.05, self.dim)
 
 
 def make_toy_mtl(

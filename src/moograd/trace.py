@@ -79,11 +79,3 @@ class RunRecord:
                 self.wall_times.tolist(),
             )
         ]
-
-    def validate(self) -> None:
-        columns = (self.direction_norms, self.alphas, self.n_samples, self.guard_codes,
-                   self.wall_times)
-        if any(len(column) != self.steps for column in columns):
-            raise ValueError("every column must hold one entry per step")
-        if self.iterates and self.steps and len(self.iterates) != self.steps + 1:
-            raise ValueError("iterates must hold x_0 plus one entry per step")

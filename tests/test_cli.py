@@ -98,6 +98,9 @@ MALFORMED_TRAIN = [
     ("seed", "s", "seed: must be an integer >= 0"),
     ("seed", True, "seed: must be an integer >= 0"),
     ("start_epoch", -1, "start_epoch: must be an integer >= 0"),
+    ("problem_sampler", {"name": "bogus"}, "problem_sampler.name: unknown problem_sampler 'bogus'"),
+    ("problem_sampler", {"name": "quadratic_pair", "params": {"size": 3}},
+     "problem_sampler.params: unknown fields ['size']"),
 ]
 
 
@@ -118,6 +121,39 @@ def test_malformed_train_field_is_config_error(tmp_path, capsys, field, value, m
     assert main(["train-ml2o", "--config", train_cfg(tmp_path, **{field: value})]) == 1
     assert message in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "train")
+
+
+# configs that pass the field checks but that the problem family rejects
+PROBLEM_REJECTED = [
+    ("run", {"problem": {"name": "quadratic_pair", "params": {"dim": 0, "seed": 3}}},
+     "problem.params: dim must be >= 1"),
+    ("run", {"problem": {"name": "toy_mtl", "params": {"seed": 3, "samples": 8, "batch": 16}}},
+     "problem.params: batch must be in [1, 8], got 16"),
+    ("run", {"optimizer": None},
+     "optimizer.params.checkpoint: the checkpoint has 3 objectives, the problem has 2"),
+    ("train-ml2o", {"problem_sampler": {"name": "quadratic_pair", "params": {"dim": 0}}},
+     "problem_sampler.params: dim must be >= 1"),
+    ("train-ml2o", {"m": 3}, "m: the optimizer has 3 objectives, problem 'quadratic_pair' has 2"),
+    ("train-ml2o", {"problem_sampler": {"name": "toy_mtl", "params": {"samples": 16, "batch": 4}}},
+     "problem_sampler.name: ToyMtlProblem is not tape-differentiable"),
+]
+
+
+@pytest.mark.parametrize("command, over, message", PROBLEM_REJECTED,
+                         ids=[f"{c}-{m.split(':')[0]}-{i}" for i, (c, _, m) in enumerate(PROBLEM_REJECTED)])
+def test_config_the_problem_rejects_is_config_error(tmp_path, capsys, command, over, message):
+    from moograd.ml2o import init_params, save_checkpoint
+
+    if "optimizer" in over:  # a 3-objective checkpoint for the 2-objective pair
+        save_checkpoint(init_params(3, 2, seed=0), str(tmp_path / "m3.json"))
+        over = {"optimizer": {"name": "ml2o", "params": {"checkpoint": str(tmp_path / "m3.json")}}}
+    if command == "run":
+        cfg, out = write_cfg(tmp_path, **over), tmp_path / "out"
+    else:
+        cfg, out = train_cfg(tmp_path, **over), tmp_path / "train"
+    assert main([command, "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):

@@ -20,7 +20,6 @@ from moograd.ml2o import (
     init_state,
     learned_step,
     load_checkpoint,
-    meta_loss,
     meta_train,
     ml2o_direction,
     preprocess_gradient,
@@ -75,13 +74,13 @@ def scalar_loop_cell(s, h, c, arrays):
 
 
 def test_preprocess_channels():
-    p = 10.0
-    out = preprocess_gradient(np.array([1.0, 0.0, math.exp(-p)]), p)
+    p = ml2o.PREPROCESS_P
+    out = preprocess_gradient(np.array([1.0, 0.0, math.exp(-p)]))
     assert np.allclose(out[0], [0.0, 1.0])
     assert np.allclose(out[1], [-1.0, 0.0])
     assert np.allclose(out[2], [-1.0, 1.0])  # boundary goes through the log branch
     g = np.random.default_rng(0).normal(scale=5.0, size=200)
-    enc = preprocess_gradient(g, p)
+    enc = preprocess_gradient(g)
     assert np.all(enc[:, 0] >= -1.0) and np.all(np.abs(enc[:, 1]) <= 1.0)
     assert np.all(enc[:, 0] <= max(1.0, np.log(np.abs(g).max()) / p))
 
@@ -260,6 +259,11 @@ def test_population_state_is_one_stacked_state():
     assert state.spec.shape == (2, 5, 2, 4, 3) and state.shared.shape == (2, 5, 4, 6)
     learned_step(prob, xs, 2, 0.1, None, memory, params, exact=True)
     assert memory["ml2o_state"].spec.shape == (2, 5, 2, 4, 3)
+
+
+def meta_loss(f_curr, f_prev):
+    """The one-step window loss max_i(f_curr_i - f_prev_i)."""
+    return float(ad.window_loss((f_prev, f_curr)))
 
 
 def test_meta_loss_values():
@@ -500,10 +504,3 @@ def test_evaluate_meta_loss_runs():
     problems = [make_quadratic_pair(4, seed=s) for s in range(3)]
     val = evaluate_meta_loss(problems, params, steps=10, alpha=0.1, seed=0)
     assert math.isfinite(val)
-
-
-def test_evaluate_meta_loss_rejects_unknown_draw_mode():
-    params = init_params(2, 4, seed=1)
-    problems = [make_quadratic_pair(4, seed=0)]
-    with pytest.raises(ValueError, match="draw_mode"):
-        evaluate_meta_loss(problems, params, steps=10, alpha=0.1, seed=0, draw_mode="Exact")
