@@ -149,10 +149,11 @@ def _problem_params(factory) -> set[str]:
 
 
 def _build_problem(name: str, params: dict, field: str):
-    """``make_problem(name, **params)``; a factory's ValueError becomes a ConfigError on ``field``."""
+    """``make_problem(name, **params)``; a factory's ValueError or TypeError (a param of the
+    wrong JSON type) becomes a ConfigError on ``field``."""
     try:
         return make_problem(name, **params)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError([f"{field}: {exc}"]) from exc
 
 

@@ -129,6 +129,8 @@ PROBLEM_REJECTED = [
      "problem.params: dim must be >= 1"),
     ("run", {"problem": {"name": "toy_mtl", "params": {"seed": 3, "samples": 8, "batch": 16}}},
      "problem.params: batch must be in [1, 8], got 16"),
+    ("run", {"problem": {"name": "quadratic_pair", "params": {"dim": "8", "seed": 3}}},
+     "problem.params: '<' not supported"),
     ("run", {"optimizer": None},
      "optimizer.params.checkpoint: the checkpoint has 3 objectives, the problem has 2"),
     ("train-ml2o", {"problem_sampler": {"name": "quadratic_pair", "params": {"dim": 0}}},
