@@ -14,7 +14,6 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
