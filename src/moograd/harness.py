@@ -64,6 +64,86 @@ def derive_rng(seed: int, member: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(member, purpose)))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number other than ``true`` and ``false``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# A rule is (test, what it asks for). A rule table maps each field of a JSON
+# object to its rule, to the table of a nested object, or to None for a field
+# checked on its own. Only present fields are checked; a field left out takes
+# the default of the dataclass or function that receives it.
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_COUNT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_NUMBER = (_is_number, "a number")
+_NON_NEGATIVE = (lambda v: _is_number(v) and v >= 0, "a number >= 0")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a number > 0")
+_PATH = (lambda v: isinstance(v, str) and v != "", "a non-empty path string")
+_SEEDS = (lambda v: isinstance(v, list) and all(_is_int(s) and s >= 0 for s in v)
+          and len(v) == len(set(v)) > 0,
+          "a non-empty list of integers >= 0, none repeated")
+
+_RUN_RULES = {
+    "problem": None,
+    "optimizer": None,
+    "steps": _POSITIVE_INT,
+    "step_schedule": {
+        "kind": (lambda v: v in opt.StepSchedule.KINDS, f"one of {list(opt.StepSchedule.KINDS)}"),
+        "alpha": _POSITIVE,
+    },
+    "sample_schedule": {"n_base": _POSITIVE_INT, "q": _POSITIVE},
+    "seeds": _SEEDS,
+    "population": (lambda v: v is None or (_is_int(v) and v >= 1), "an integer >= 1 or null"),
+    "outputs": _PATH,
+}
+_RUN_REQUIRED = ("problem", "optimizer", "steps", "step_schedule", "seeds", "outputs")
+_TRAIN_RULES = {
+    "problem_sampler": None,
+    "hidden": _POSITIVE_INT, "steps": _POSITIVE_INT, "window": _POSITIVE_INT,
+    "epochs": _COUNT, "seed": _COUNT, "start_epoch": _COUNT,
+    "meta_lr": _NON_NEGATIVE, "init_scale": _NON_NEGATIVE, "alpha": _POSITIVE,
+    "draw_mode": (lambda v: v in ("sample", "exact"), "'sample' or 'exact'"),
+    "init_checkpoint": _PATH,
+    "outputs": _PATH,
+}
+_TRAIN_REQUIRED = ("problem_sampler", "steps", "window", "meta_lr", "epochs", "seed", "outputs")
+# the meta_train keywords a training config may set
+_META_TRAIN_FIELDS = ("steps", "window", "meta_lr", "seed", "alpha", "start_epoch", "draw_mode")
+_HIDDEN = 8  # the hidden size of a training config that sets none
+
+
+def _check_object(obj, rules: dict, where: str, errors: list[str]) -> bool:
+    """Append the violations of ``rules`` by the JSON object ``obj`` at ``where``
+    (``""`` for the root); return whether there were none."""
+    before = len(errors)
+    if not isinstance(obj, dict):
+        errors.append(f"{where}: must be an object")
+        return False
+    unknown = set(obj) - set(rules)
+    if unknown:
+        head = f"{where}: " if where else ""
+        errors.append(f"{head}unknown fields {sorted(unknown)} (allowed: {sorted(rules)})")
+    for key, rule in rules.items():
+        name = f"{where}.{key}" if where else key
+        if key not in obj or rule is None:
+            continue
+        if isinstance(rule, dict):
+            _check_object(obj[key], rule, name, errors)
+        elif not rule[0](obj[key]):
+            errors.append(f"{name}: must be {rule[1]}, got {obj[key]!r}")
+    return len(errors) == before
+
+
+def _params(block: dict) -> dict:
+    """The ``params`` of a ``{"name", "params"}`` block; a block without them has none."""
+    return block.get("params", {})
+
+
 @dataclass(frozen=True)
 class Optimizer:
     """A registry entry: the population step and what a run of it needs.
@@ -81,11 +161,14 @@ class Optimizer:
     def takes(self, name: str) -> bool:
         return name in inspect.signature(self.step).parameters
 
-    def params(self) -> set[str]:
-        """Config params accepted: the step's keyword-only parameters, plus the checkpoint."""
+    def params(self) -> dict:
+        """The rule of each config param: the step's keyword-only parameters, an
+        integer >= 1 for an int default and a number for a float one, plus the
+        checkpoint path."""
         sig = inspect.signature(self.step).parameters.values()
-        names = {p.name for p in sig if p.kind is inspect.Parameter.KEYWORD_ONLY}
-        return names | ({"checkpoint"} if self.takes("model") else set())
+        rules = {p.name: _POSITIVE_INT if isinstance(p.default, int) else _NUMBER
+                 for p in sig if p.kind is inspect.Parameter.KEYWORD_ONLY}
+        return rules | ({"checkpoint": _PATH} if self.takes("model") else {})
 
 
 OPTIMIZERS: dict[str, Optimizer] = {
@@ -104,48 +187,31 @@ OPTIMIZERS: dict[str, Optimizer] = {
     "gml2o_det": Optimizer(gml2o_det_step, constant_step=True),
 }
 
-_RUN_KEYS = {
-    "problem",
-    "optimizer",
-    "steps",
-    "step_schedule",
-    "sample_schedule",
-    "seeds",
-    "population",
-    "outputs",
-}
+
+def _problem_params(factory) -> dict:
+    """Every factory parameter, checked by the factory itself."""
+    return dict.fromkeys(inspect.signature(factory).parameters)
 
 
-def _check_block(block, field: str, registry: dict, params_of: Callable, errors: list[str]):
-    """Check a ``{"name", "params"}`` block against ``registry``.
+def _sampler_params(factory) -> dict:
+    """A problem sampler's params: the factory's, but never the seed, which is drawn per epoch."""
+    return _problem_params(factory) | {"seed": (lambda v: False, "left out: drawn per epoch")}
 
-    ``params_of(registry[name])`` is the set of params the entry accepts.
-    Returns the entry and its params when both are valid enough to check
-    further, else ``(None, None)``.
-    """
+
+def _check_block(block, field: str, registry: dict, rules_of: Callable, errors: list[str]):
+    """Check a ``{"name", "params"}`` block against ``registry``; ``rules_of(entry)``
+    is the rule table of the entry's params. Returns the entry and its params when
+    both are valid, else ``None`` for each that is not."""
     if not isinstance(block, dict):
         errors.append(f"{field}: must be an object with 'name' and 'params'")
         return None, None
-    unknown = set(block) - {"name", "params"}
-    if unknown:
-        errors.append(f"{field}: unknown fields {sorted(unknown)}")
+    _check_object(block, {"name": None, "params": None}, field, errors)
     name = block.get("name")
     if name not in registry:
         errors.append(f"{field}.name: unknown {field} {name!r}; registered: {sorted(registry)}")
         return None, None
-    params = block.get("params", {})
-    if not isinstance(params, dict):
-        errors.append(f"{field}.params: must be an object")
-        return registry[name], None
-    accepted = params_of(registry[name])
-    unknown = set(params) - accepted
-    if unknown:
-        errors.append(f"{field}.params: unknown fields {sorted(unknown)} (allowed: {sorted(accepted)})")
-    return registry[name], params
-
-
-def _problem_params(factory) -> set[str]:
-    return set(inspect.signature(factory).parameters)
+    ok = _check_object(_params(block), rules_of(registry[name]), f"{field}.params", errors)
+    return registry[name], _params(block) if ok else None
 
 
 def _build_problem(name: str, params: dict, field: str):
@@ -157,84 +223,40 @@ def _build_problem(name: str, params: dict, field: str):
         raise ConfigError([f"{field}: {exc}"]) from exc
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: ``true`` and ``false`` are not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number other than ``true`` and ``false``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+def _load_model(path: str, field: str, problem) -> Ml2oParams:
+    """The checkpoint at ``path`` for ``problem``; an unreadable or mismatched one is a
+    ConfigError on ``field``."""
+    try:
+        model = load_checkpoint(path)
+    except CheckpointError as exc:
+        raise ConfigError([f"{field}: {exc}"]) from exc
+    if model.m != problem.objectives:
+        raise ConfigError([f"{field}: the checkpoint has {model.m} objectives, "
+                           f"the problem has {problem.objectives}"])
+    return model
 
 
 def validate_run_config(cfg: dict) -> list[str]:
-    errors: list[str] = []
     if not isinstance(cfg, dict):
         return ["config root must be a JSON object"]
-    unknown = set(cfg) - _RUN_KEYS
-    if unknown:
-        errors.append(f"unknown fields {sorted(unknown)}")
-    for key in ("problem", "optimizer", "steps", "step_schedule", "seeds", "outputs"):
-        if key not in cfg:
-            errors.append(f"missing field {key!r}")
+    errors: list[str] = []
+    _check_object(cfg, _RUN_RULES, "", errors)
+    errors += [f"missing field {key!r}" for key in _RUN_REQUIRED if key not in cfg]
     _check_block(cfg.get("problem"), "problem", _PROBLEMS, _problem_params, errors)
-
     entry, params = _check_block(
         cfg.get("optimizer"), "optimizer", OPTIMIZERS, Optimizer.params, errors
     )
-    optname = cfg["optimizer"]["name"] if entry else None
-    if params is not None:
-        if entry.takes("model") and "checkpoint" not in params:
-            errors.append(f"optimizer.params.checkpoint: required for {optname!r}")
-        batch = params.get("guard_batch", 1)
-        if not _is_int(batch) or batch < 1:
-            errors.append(f"optimizer.params.guard_batch: must be an integer >= 1, got {batch!r}")
-    if entry and entry.samples and "sample_schedule" not in cfg:
+    if entry is None:
+        return errors
+    optname = cfg["optimizer"]["name"]
+    if params is not None and entry.takes("model") and "checkpoint" not in params:
+        errors.append(f"optimizer.params.checkpoint: required for {optname!r}")
+    if entry.samples and "sample_schedule" not in cfg:
         errors.append(f"sample_schedule: required for optimizer {optname!r}")
-
-    steps = cfg.get("steps")
-    if steps is not None and (not _is_int(steps) or steps < 1):
-        errors.append(f"steps: must be an integer >= 1, got {steps!r}")
-
-    sched = cfg.get("step_schedule")
-    if sched is not None:
-        if not isinstance(sched, dict) or set(sched) - {"kind", "alpha"}:
-            errors.append("step_schedule: must be an object with fields 'kind' and 'alpha'")
-        elif not _is_number(sched.get("alpha", 0.01)):
-            errors.append(f"step_schedule.alpha: must be a number, got {sched['alpha']!r}")
-        else:
-            try:
-                opt.StepSchedule(sched.get("kind", "constant"), sched.get("alpha", 0.01))
-            except ValueError as exc:
-                errors.append(f"step_schedule: {exc}")
-            if entry and entry.constant_step and sched.get("kind", "constant") != "constant":
-                errors.append(f"step_schedule: optimizer {optname!r} requires kind 'constant'")
-
-    samp = cfg.get("sample_schedule")
-    if samp is not None:
-        if not isinstance(samp, dict) or set(samp) - {"n_base", "q"}:
-            errors.append("sample_schedule: must be an object with fields 'n_base' and 'q'")
-        elif not (_is_int(samp.get("n_base", 1)) and _is_number(samp.get("q", 0.1))):
-            errors.append("sample_schedule: n_base must be an integer and q a number")
-        else:
-            try:
-                opt.SampleSchedule(samp.get("n_base", 1), samp.get("q", 0.1))
-            except ValueError as exc:
-                errors.append(f"sample_schedule: {exc}")
-
-    seeds = cfg.get("seeds")
-    if seeds is not None and (
-        not isinstance(seeds, list) or not seeds or not all(_is_int(s) and s >= 0 for s in seeds)
-    ):
-        errors.append(f"seeds: must be a non-empty list of integers >= 0, got {seeds!r}")
-
-    pop = cfg.get("population")
-    if pop is not None and (not _is_int(pop) or pop < 1):
-        errors.append(f"population: must be an integer >= 1, got {pop!r}")
-
-    outputs = cfg.get("outputs")
-    if outputs is not None and not isinstance(outputs, str):
-        errors.append("outputs: must be a directory path string")
+    sched = cfg.get("step_schedule")  # its kind is known once it passes its rules
+    if entry.constant_step and _check_object(sched, _RUN_RULES["step_schedule"], "", []) \
+            and opt.StepSchedule(**sched).kind != "constant":
+        errors.append(f"step_schedule: optimizer {optname!r} requires kind 'constant'")
     return errors
 
 
@@ -315,27 +337,18 @@ def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
     if errors:
         raise ConfigError(errors)
     entry = OPTIMIZERS[cfg["optimizer"]["name"]]
-    bound = dict(cfg["optimizer"].get("params", {}))
+    bound = dict(_params(cfg["optimizer"]))
+    problem = _build_problem(cfg["problem"]["name"], _params(cfg["problem"]), "problem.params")
     if entry.takes("model"):
-        try:
-            bound["model"] = load_checkpoint(bound.pop("checkpoint"))
-        except CheckpointError as exc:
-            raise ConfigError([f"optimizer.params.checkpoint: {exc}"]) from exc
-    problem = _build_problem(cfg["problem"]["name"], cfg["problem"].get("params", {}),
-                             "problem.params")
-    if "model" in bound and bound["model"].m != problem.objectives:
-        raise ConfigError([f"optimizer.params.checkpoint: the checkpoint has {bound['model'].m} "
-                           f"objectives, the problem has {problem.objectives}"])
+        bound["model"] = _load_model(bound.pop("checkpoint"), "optimizer.params.checkpoint",
+                                     problem)
     out_dir = out_dir or cfg["outputs"]
     os.makedirs(out_dir, exist_ok=True)
 
-    sched_cfg = cfg["step_schedule"]
-    schedule = opt.StepSchedule(sched_cfg.get("kind", "constant"), sched_cfg.get("alpha", 0.01))
-    samples = None
-    if "sample_schedule" in cfg:
-        samples = opt.SampleSchedule(cfg["sample_schedule"]["n_base"], cfg["sample_schedule"]["q"])
+    schedule = opt.StepSchedule(**cfg["step_schedule"])
     if entry.takes("samples"):
-        bound["samples"] = samples
+        bound["samples"] = (opt.SampleSchedule(**cfg["sample_schedule"])
+                            if "sample_schedule" in cfg else None)
 
     population = cfg.get("population")
     members = [None] if population is None else list(range(population))
@@ -406,119 +419,66 @@ def run_experiment(cfg: dict, out_dir: str | None = None, threads: int = 1,
     return results
 
 
-_TRAIN_KEYS = {
-    "problem_sampler",
-    "m",
-    "hidden",
-    "steps",
-    "window",
-    "meta_lr",
-    "epochs",
-    "alpha",
-    "seed",
-    "init_scale",
-    "init_checkpoint",
-    "start_epoch",
-    "draw_mode",
-    "outputs",
-}
-
-
-_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-_COUNT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
-_NON_NEGATIVE = (lambda v: _is_number(v) and v >= 0, "a number >= 0")
-# (test, what it asks for) of each numeric train field
-_TRAIN_NUMBERS = {
-    "m": _POSITIVE_INT, "hidden": _POSITIVE_INT, "steps": _POSITIVE_INT, "window": _POSITIVE_INT,
-    "epochs": _COUNT, "seed": _COUNT, "start_epoch": _COUNT,
-    "meta_lr": _NON_NEGATIVE, "init_scale": _NON_NEGATIVE,
-    "alpha": (lambda v: _is_number(v) and v > 0, "a number > 0"),
-}
-
-
 def validate_train_config(cfg: dict) -> list[str]:
-    errors: list[str] = []
     if not isinstance(cfg, dict):
         return ["config root must be a JSON object"]
-    unknown = set(cfg) - _TRAIN_KEYS
-    if unknown:
-        errors.append(f"unknown fields {sorted(unknown)}")
-    for key in ("problem_sampler", "steps", "window", "meta_lr", "epochs", "seed", "outputs"):
-        if key not in cfg:
-            errors.append(f"missing field {key!r}")
-    block = cfg.get("problem_sampler")
-    if block is not None:
-        _check_block(block, "problem_sampler", _PROBLEMS, _problem_params, errors)
-        if isinstance(block, dict) and "seed" in block.get("params", {}):
-            errors.append("problem_sampler.params.seed: drawn per epoch, must not be fixed")
-    for key, (ok, want) in _TRAIN_NUMBERS.items():
-        if key in cfg and not ok(cfg[key]):
-            errors.append(f"{key}: must be {want}, got {cfg[key]!r}")
+    errors: list[str] = []
+    _check_object(cfg, _TRAIN_RULES, "", errors)
+    errors += [f"missing field {key!r}" for key in _TRAIN_REQUIRED if key not in cfg]
+    if "problem_sampler" in cfg:
+        _check_block(cfg["problem_sampler"], "problem_sampler", _PROBLEMS, _sampler_params, errors)
     steps, window = cfg.get("steps"), cfg.get("window")
     if _is_int(steps) and _is_int(window) and min(steps, window) >= 1 and steps % window != 0:
         errors.append(f"window: {window} must divide steps {steps}")
-    if cfg.get("draw_mode", "sample") not in ("sample", "exact"):
-        errors.append("draw_mode: must be 'sample' or 'exact'")
+    if "init_checkpoint" in cfg and "init_scale" in cfg:
+        errors.append("init_scale: has no effect with init_checkpoint")
     return errors
 
 
 def train_ml2o_cmd(cfg: dict, out_dir: str | None = None) -> Ml2oParams:
     """Meta-train from a config; writes checkpoint.json and meta_loss.csv.
 
-    Training runs one epoch per ``meta_train`` call (resuming is exact), and
-    each epoch's rows are appended to meta_loss.csv and flushed as it ends,
-    so a run that diverges keeps the rows of every finished epoch.
+    The optimizer has one objective cell per objective of the sampler's
+    problems. Training runs one epoch per ``meta_train`` call (resuming is
+    exact), and each epoch's rows are appended to meta_loss.csv and flushed as
+    it ends, so a run that diverges keeps the rows of every finished epoch.
     """
     errors = validate_train_config(cfg)
     if errors:
         raise ConfigError(errors)
-    if cfg.get("init_checkpoint"):
-        try:
-            params = load_checkpoint(cfg["init_checkpoint"])
-        except CheckpointError as exc:
-            raise ConfigError([f"init_checkpoint: {exc}"]) from exc
-    else:
-        params = init_params(cfg.get("m", 2), cfg.get("hidden", 8), cfg["seed"],
-                             scale=cfg.get("init_scale", 0.1))
-    pname = cfg["problem_sampler"]["name"]
-    pparams = cfg["problem_sampler"].get("params", {})
+    pname, pparams = cfg["problem_sampler"]["name"], _params(cfg["problem_sampler"])
     # one problem of the family, to check the config before anything is written
     probe = _build_problem(pname, {"seed": 0, **pparams}, "problem_sampler.params")
-    if probe.objectives != params.m:
-        field = "init_checkpoint" if cfg.get("init_checkpoint") else "m"
-        raise ConfigError([f"{field}: the optimizer has {params.m} objectives, "
-                           f"problem {pname!r} has {probe.objectives}"])
     try:
         probe.eval_terms(np.zeros((probe.dim, 1)))
     except UnsupportedCapability as exc:
         raise ConfigError([f"problem_sampler.name: {exc}; meta-training needs "
                            "tape-differentiable losses"]) from exc
+    if "init_checkpoint" in cfg:
+        params = _load_model(cfg["init_checkpoint"], "init_checkpoint", probe)
+        if "hidden" in cfg and cfg["hidden"] != params.hidden:
+            raise ConfigError([f"hidden: {cfg['hidden']} differs from the init_checkpoint's "
+                               f"hidden size {params.hidden}"])
+    else:
+        scale = {"scale": cfg["init_scale"]} if "init_scale" in cfg else {}
+        params = init_params(probe.objectives, cfg["hidden"] if "hidden" in cfg else _HIDDEN,
+                             cfg["seed"], **scale)
     out_dir = out_dir or cfg["outputs"]
     os.makedirs(out_dir, exist_ok=True)
 
     def sampler(rng: np.random.Generator):
         return make_problem(pname, seed=int(rng.integers(2**31 - 1)), **pparams)
 
+    given = {key: cfg[key] for key in _META_TRAIN_FIELDS if key in cfg}
     periods = 0
-    start = cfg.get("start_epoch", 0)
     with _create(os.path.join(out_dir, "meta_loss.csv")) as fh:
         fh.write("epoch,period,meta_loss\n")
-        for epoch in range(start, start + cfg["epochs"]):
-            params, trace = meta_train(
-                sampler,
-                params,
-                steps=cfg["steps"],
-                window=cfg["window"],
-                meta_lr=cfg["meta_lr"],
-                epochs=1,
-                seed=cfg["seed"],
-                alpha=cfg.get("alpha", 0.1),
-                start_epoch=epoch,
-                draw_mode=cfg.get("draw_mode", "sample"),
-            )
+        for _ in range(cfg["epochs"]):
+            params, trace = meta_train(sampler, params, epochs=1, **given)
             fh.writelines(f"{e},{period},{loss:.17g}\n" for e, period, loss in trace)
             fh.flush()
             periods += len(trace)
+            given["start_epoch"] = trace[-1][0] + 1  # the next call trains the next epoch
     save_checkpoint(params, os.path.join(out_dir, "checkpoint.json"))
     _write_manifest(
         out_dir,
@@ -572,7 +532,7 @@ def compare_cmd(run_dirs: list[str], metric: str, out_path: str | None = None) -
         cfgd = mf["config"]
         problem = None
         if metric == "criticality":
-            problem = make_problem(cfgd["problem"]["name"], **cfgd["problem"].get("params", {}))
+            problem = make_problem(cfgd["problem"]["name"], **_params(cfgd["problem"]))
         per_seed = []
         for seed in cfgd["seeds"]:
             runs = [r for r in mf["runs"] if r["seed"] == seed]

@@ -191,18 +191,14 @@ def learned_directions(ys: np.ndarray, memory: dict, params: Ml2oParams) -> np.n
     return g
 
 
-def learned_step(problem, xs, k, alpha, rngs, memory, model: Ml2oParams, samples=None, *,
-                 exact: bool = False):
+def learned_step(problem, xs, k, alpha, rngs, memory, model: Ml2oParams, samples=None):
     """The ml2o population step: x <- x - alpha * g, g from :func:`ml2o_direction`.
 
-    Gradients are the exact Jacobians when ``exact``, otherwise the mean of
-    N_k draws under the sample schedule ``samples``, or one draw without it.
+    Gradients are the mean of N_k draws under the sample schedule ``samples``,
+    or one draw without it.
     """
-    if exact:
-        grads, n = problem.jacobian_many(xs), None
-    else:
-        n = 1 if samples is None else sample_size(k, samples)
-        grads = problem.averaged_gradient_many(xs, n, rngs)
+    n = 1 if samples is None else sample_size(k, samples)
+    grads = problem.averaged_gradient_many(xs, n, rngs)
     return descend(xs, alpha, learned_directions(grads, memory, model), n)
 
 

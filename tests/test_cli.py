@@ -83,13 +83,25 @@ MALFORMED_RUN = [
     ("seeds", [-1], "seeds: must be a non-empty list of integers >= 0"),
     ("population", True, "population: must be an integer >= 1"),
     ("step_schedule", {"kind": "constant", "alpha": True}, "step_schedule.alpha"),
-    ("sample_schedule", {"n_base": True, "q": 0.1}, "sample_schedule: n_base"),
+    ("sample_schedule", {"n_base": True, "q": 0.1}, "sample_schedule.n_base: must be an integer >= 1"),
+    # a seed listed twice would write each of its files twice
+    ("seeds", [1, 1], "seeds: must be a non-empty list of integers >= 0, none repeated"),
+    ("seeds", [[1]], "seeds: must be a non-empty list of integers >= 0"),
+    ("outputs", 5, "outputs: must be a non-empty path string"),
+    # hyperparameters take the type of their default: a float one a number, an int one an integer >= 1
+    ("optimizer", {"name": "adam", "params": {"beta1": True}}, "optimizer.params.beta1: must be a number"),
+    ("optimizer", {"name": "adam", "params": {"beta1": "x"}}, "optimizer.params.beta1: must be a number"),
+    ("optimizer", {"name": "momentum", "params": {"momentum": None}},
+     "optimizer.params.momentum: must be a number"),
+    ("optimizer", {"name": "moco", "params": {"track_bound": [1]}},
+     "optimizer.params.track_bound: must be a number"),
 ]
 MALFORMED_TRAIN = [
     ("window", True, "window: must be an integer >= 1"),
     ("epochs", True, "epochs: must be an integer >= 0"),
     ("meta_lr", True, "meta_lr: must be a number >= 0"),
-    ("m", True, "m: must be an integer >= 1"),
+    ("m", 2, "unknown fields ['m']"),  # the objective count is the sampler's
+    ("outputs", 5, "outputs: must be a non-empty path string"),
     ("hidden", 0, "hidden: must be an integer >= 1"),
     ("hidden", 2.5, "hidden: must be an integer >= 1"),
     ("alpha", -1, "alpha: must be a number > 0"),
@@ -135,7 +147,8 @@ PROBLEM_REJECTED = [
      "optimizer.params.checkpoint: the checkpoint has 3 objectives, the problem has 2"),
     ("train-ml2o", {"problem_sampler": {"name": "quadratic_pair", "params": {"dim": 0}}},
      "problem_sampler.params: dim must be >= 1"),
-    ("train-ml2o", {"m": 3}, "m: the optimizer has 3 objectives, problem 'quadratic_pair' has 2"),
+    ("train-ml2o", {"init_checkpoint": None},
+     "hidden: 3 differs from the init_checkpoint's hidden size 2"),
     ("train-ml2o", {"problem_sampler": {"name": "toy_mtl", "params": {"samples": 16, "batch": 4}}},
      "problem_sampler.name: ToyMtlProblem is not tape-differentiable"),
 ]
@@ -149,6 +162,9 @@ def test_config_the_problem_rejects_is_config_error(tmp_path, capsys, command, o
     if "optimizer" in over:  # a 3-objective checkpoint for the 2-objective pair
         save_checkpoint(init_params(3, 2, seed=0), str(tmp_path / "m3.json"))
         over = {"optimizer": {"name": "ml2o", "params": {"checkpoint": str(tmp_path / "m3.json")}}}
+    if "init_checkpoint" in over:  # a hidden-2 checkpoint for a hidden-3 config
+        save_checkpoint(init_params(2, 2, seed=0), str(tmp_path / "h2.json"))
+        over = {"init_checkpoint": str(tmp_path / "h2.json")}
     if command == "run":
         cfg, out = write_cfg(tmp_path, **over), tmp_path / "out"
     else:
@@ -156,6 +172,81 @@ def test_config_the_problem_rejects_is_config_error(tmp_path, capsys, command, o
     assert main([command, "--config", cfg]) == 1
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_init_scale_with_init_checkpoint_is_config_error(tmp_path, capsys):
+    # the checkpoint's weights are trained on, so no scale would be used
+    from moograd.ml2o import init_params, save_checkpoint
+
+    ck = str(tmp_path / "ck.json")
+    save_checkpoint(init_params(2, 3, seed=0), ck)
+    assert main(["train-ml2o", "--config", train_cfg(tmp_path, init_checkpoint=ck, init_scale=5.0)]) == 1
+    assert "init_scale: has no effect with init_checkpoint" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "train")
+
+
+def test_repeated_seed_override_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, population=3)
+    assert main(["run", "--config", cfg, "--seeds", "1,1"]) == 1
+    assert "seeds: must be a non-empty list of integers >= 0, none repeated" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def cli_subprocess(args):
+    """Run the CLI in a child interpreter, its stdin empty and its output captured.
+
+    The child finds the package where this one did, installed or not.
+    """
+    import moograd
+
+    path = [os.path.dirname(os.path.dirname(moograd.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, "-m", "moograd.cli", *args], capture_output=True,
+                          text=True, env=env, stdin=subprocess.DEVNULL, timeout=120)
+
+
+# A path field that is not a string would reach open() as a file descriptor
+# (true is stdout, 0 is stdin) and close it; a child interpreter keeps such a
+# failure away from the test runner's descriptors. An empty init_checkpoint is
+# given, not absent.
+BAD_PATHS = [
+    ("run", "checkpoint", 0, "optimizer.params.checkpoint: must be a non-empty path string"),
+    ("train-ml2o", "init_checkpoint", True, "init_checkpoint: must be a non-empty path string"),
+    ("train-ml2o", "init_checkpoint", "", "init_checkpoint: must be a non-empty path string"),
+]
+
+
+@pytest.mark.parametrize("command, field, value, message", BAD_PATHS,
+                         ids=[f"{c}-{f}={json.dumps(v)}" for c, f, v, _ in BAD_PATHS])
+def test_path_field_must_be_a_string(tmp_path, command, field, value, message):
+    if command == "run":
+        cfg = write_cfg(tmp_path, optimizer={"name": "ml2o", "params": {field: value}})
+        out = tmp_path / "out"
+    else:
+        cfg, out = train_cfg(tmp_path, **{field: value}), tmp_path / "train"
+    proc = cli_subprocess([command, "--config", cfg])
+    assert proc.returncode == 1, proc.stderr
+    assert message in proc.stderr
+    assert not os.path.exists(out)
+
+
+def manifest_hashes(out):
+    with open(os.path.join(out, "manifest.json")) as fh:
+        return [r["content_hash"] for r in json.load(fh)["runs"]]
+
+
+@pytest.mark.parametrize("partial, full", [({"n_base": 4}, {"n_base": 4, "q": 0.1}),
+                                           ({}, {"n_base": 1, "q": 0.1})],
+                         ids=["n_base-only", "empty"])
+def test_partial_sample_schedule_takes_the_schedule_defaults(tmp_path, partial, full):
+    # a field left out takes SampleSchedule's default
+    hashes = []
+    for name, sched in (("partial", partial), ("full", full)):
+        cfg = write_cfg(tmp_path, name=f"{name}.json", optimizer={"name": "dssmg", "params": {}},
+                        sample_schedule=sched, population=3, outputs=str(tmp_path / name))
+        assert main(["run", "--config", cfg]) == 0
+        hashes.append(manifest_hashes(str(tmp_path / name)))
+    assert hashes[0] == hashes[1]
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
@@ -211,14 +302,7 @@ def test_check_subcommand_failure_exit_code(monkeypatch, capsys):
 
 
 def test_console_script_help():
-    # the child interpreter finds the package where this one did, installed or not
-    import moograd
-
-    path = [os.path.dirname(os.path.dirname(moograd.__file__)), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "moograd.cli", "--help"], capture_output=True, text=True, env=env
-    )
+    proc = cli_subprocess(["--help"])
     assert proc.returncode == 0
     for cmd in ("run", "train-ml2o", "compare", "front", "check"):
         assert cmd in proc.stdout

@@ -88,11 +88,11 @@ def test_run_experiment_deterministic_and_seed_repeat(tmp_path):
     m1 = json.load(open(os.path.join(out1, "manifest.json")))
     m2 = json.load(open(os.path.join(out2, "manifest.json")))
     assert [r["content_hash"] for r in m1["runs"]] == [r["content_hash"] for r in m2["runs"]]
-    # identical seeds listed twice produce identical files
+    # a seed listed twice would write its files twice: it is a config error
     out3 = str(tmp_path / "c")
-    run_experiment(base_config(out3, seeds=[1, 1]))
-    m3 = json.load(open(os.path.join(out3, "manifest.json")))
-    assert m3["runs"][0]["content_hash"] == m3["runs"][1]["content_hash"]
+    with pytest.raises(ConfigError, match="seeds: must be a non-empty list of integers >= 0, none"):
+        run_experiment(base_config(out3, seeds=[1, 1]))
+    assert not os.path.exists(out3)
 
 
 def manifest_hashes(out):
@@ -114,13 +114,13 @@ ACCEPTED_PARAMS = {
     "adam": {"beta1", "beta2", "eps"},
     "rmsprop": {"rms_decay", "eps"},
     "adadelta": {"ada_decay", "eps"},
-    "ml2o": {"checkpoint", "exact"},
+    "ml2o": {"checkpoint"},
     "gml2o": {"checkpoint", "guard_batch"},
     "gml2o_det": {"checkpoint"},
 }
 NEEDS_SAMPLES = {"dssmg", "gml2o"}
 NEEDS_CHECKPOINT = {"ml2o", "gml2o", "gml2o_det"}
-PARAM_VALUES = {"checkpoint": "ck.json", "exact": True, "guard_batch": 8}
+PARAM_VALUES = {"checkpoint": "ck.json", "guard_batch": 8}
 
 
 @pytest.mark.parametrize("name", sorted(ACCEPTED_PARAMS))
@@ -290,7 +290,6 @@ def test_failure_removes_partial_outputs(tmp_path, monkeypatch):
 def train_config(outputs, **over):
     cfg = {
         "problem_sampler": {"name": "quadratic_pair", "params": {"dim": 2, "noise_sigma": 0.0}},
-        "m": 2,
         "hidden": 3,
         "steps": 8,
         "window": 4,

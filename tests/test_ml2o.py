@@ -172,11 +172,12 @@ def test_ml2o_step_zero_alpha_state_still_advances():
     prob = make_quadratic_pair(3, seed=1)
     x0 = prob.initial_point(np.random.default_rng(0))
     memory = {}
-    xs1, *_ = learned_step(prob, x0[None], 1, 0.0, None, memory, params, exact=True)
+    rngs = [np.random.default_rng(0)]  # noise-free problem: the one draw is the exact Jacobian
+    xs1, *_ = learned_step(prob, x0[None], 1, 0.0, rngs, memory, params)
     assert np.array_equal(x0, xs1[0])
     assert not np.allclose(memory["ml2o_state"].shared[0, 0], init_state(2, 4, 3).shared[0])
     params0 = init_params(2, 4, seed=6, scale=0.0)
-    xs2, *_ = learned_step(prob, x0[None], 1, 0.5, None, {}, params0, exact=True)
+    xs2, *_ = learned_step(prob, x0[None], 1, 0.5, rngs, {}, params0)
     assert np.array_equal(x0, xs2[0])  # zero head leaves x unchanged
 
 
@@ -253,11 +254,12 @@ def test_population_state_is_one_stacked_state():
     prob, params = make_quadratic_pair(4, seed=1), init_params(2, 3, seed=6)
     xs = np.random.default_rng(0).normal(size=(5, 4))
     memory = {}
-    learned_step(prob, xs, 1, 0.1, None, memory, params, exact=True)
+    rngs = [np.random.default_rng(p) for p in range(5)]
+    learned_step(prob, xs, 1, 0.1, rngs, memory, params)
     state = memory["ml2o_state"]
     assert isinstance(state, Ml2oState)
     assert state.spec.shape == (2, 5, 2, 4, 3) and state.shared.shape == (2, 5, 4, 6)
-    learned_step(prob, xs, 2, 0.1, None, memory, params, exact=True)
+    learned_step(prob, xs, 2, 0.1, rngs, memory, params)
     assert memory["ml2o_state"].spec.shape == (2, 5, 2, 4, 3)
 
 
