@@ -100,7 +100,7 @@ MALFORMED_TRAIN = [
     ("window", True, "window: must be an integer >= 1"),
     ("epochs", True, "epochs: must be an integer >= 0"),
     ("meta_lr", True, "meta_lr: must be a number >= 0"),
-    ("m", 2, "unknown fields ['m']"),  # the objective count is the sampler's
+    ("m", True, "unknown fields ['m']"),  # the objective count is the sampler's
     ("outputs", 5, "outputs: must be a non-empty path string"),
     ("hidden", 0, "hidden: must be an integer >= 1"),
     ("hidden", 2.5, "hidden: must be an integer >= 1"),
@@ -147,10 +147,13 @@ PROBLEM_REJECTED = [
      "optimizer.params.checkpoint: the checkpoint has 3 objectives, the problem has 2"),
     ("train-ml2o", {"problem_sampler": {"name": "quadratic_pair", "params": {"dim": 0}}},
      "problem_sampler.params: dim must be >= 1"),
-    ("train-ml2o", {"init_checkpoint": None},
+    ("train-ml2o", {"init_checkpoint": (2, 2)},
      "hidden: 3 differs from the init_checkpoint's hidden size 2"),
     ("train-ml2o", {"problem_sampler": {"name": "toy_mtl", "params": {"samples": 16, "batch": 4}}},
      "problem_sampler.name: ToyMtlProblem is not tape-differentiable"),
+    # the objective count is the sampler's, so a checkpoint trained for another count is refused
+    ("train-ml2o", {"init_checkpoint": (3, 3)},
+     "init_checkpoint: the checkpoint has 3 objectives, the problem has 2"),
 ]
 
 
@@ -162,9 +165,10 @@ def test_config_the_problem_rejects_is_config_error(tmp_path, capsys, command, o
     if "optimizer" in over:  # a 3-objective checkpoint for the 2-objective pair
         save_checkpoint(init_params(3, 2, seed=0), str(tmp_path / "m3.json"))
         over = {"optimizer": {"name": "ml2o", "params": {"checkpoint": str(tmp_path / "m3.json")}}}
-    if "init_checkpoint" in over:  # a hidden-2 checkpoint for a hidden-3 config
-        save_checkpoint(init_params(2, 2, seed=0), str(tmp_path / "h2.json"))
-        over = {"init_checkpoint": str(tmp_path / "h2.json")}
+    if "init_checkpoint" in over:  # an (objectives, hidden) checkpoint for the 2-objective, hidden-3 config
+        m, hidden = over["init_checkpoint"]
+        save_checkpoint(init_params(m, hidden, seed=0), str(tmp_path / "init.json"))
+        over = {"init_checkpoint": str(tmp_path / "init.json")}
     if command == "run":
         cfg, out = write_cfg(tmp_path, **over), tmp_path / "out"
     else:
