@@ -23,6 +23,15 @@ reverse and knows no primitive. No closure holds a :class:`Var`: that would
 make a cycle (tape, node, closure, Var, tape), and every dropped tape would
 then wait for the cycle collector.
 
+Meta-training does not record the primitives step by step: it records one
+node per truncation window (``ml2o.unroll_window``), whose forward runs the
+cells' arithmetic and whose backward calls the same private formula
+functions as the primitives' backwards (:func:`_lstm_local_adjoints`,
+:func:`_lstm_leaf_adjoints`, :func:`_head_leaf_adjoints`,
+:func:`_quadratic_adjoints`, :func:`_window_loss_adjoints`), each on a
+whole window's stacked steps where it can be. The primitives' taped forms
+are the reference that the window node is checked against, bit for bit.
+
 Elementwise ops require equal shapes; only :func:`head` broadcasts its
 ``(1, out)`` bias row, and an untaped :func:`lstm` its weights.
 """
@@ -174,10 +183,16 @@ def head(hc, w, b):
     def backward(g):
         dhc = np.zeros(hv.shape)
         dhc[0] = g @ wv.T
-        hs, gs = h.reshape(-1, wv.shape[0]), g.reshape(-1, wv.shape[1])
-        return dhc, hs.T @ gs, gs.sum(axis=0, keepdims=True)
+        return dhc, *_head_leaf_adjoints(h.reshape(-1, wv.shape[0]), g.reshape(-1, wv.shape[1]))
 
     return _record((hc, w, b), h @ wv + bv, backward)
+
+
+def _head_leaf_adjoints(h, g):
+    """The adjoints ``h' g`` and ``sum(g)`` of the head's weight and bias row from
+    its input rows ``h`` (..., R, K) and output adjoints ``g`` (..., R, out).
+    Leading axes stack the steps of a window."""
+    return h.swapaxes(-1, -2) @ g, g.sum(axis=-2, keepdims=True)
 
 
 def concat_h(hc):
@@ -207,22 +222,32 @@ def quadratic_losses(x, centers, mats=None):
         raise ShapeError(
             f"quadratic_losses: x {xv.shape} is not an ({centers.shape[1]}, 1) column"
         )
-    ds = [xv - c.reshape(-1, 1) for c in centers]
-    qs = ds if mats is None else [a @ d for a, d in zip(mats, ds)]
-    out = np.array([(d * q).sum() * 0.5 for d, q in zip(ds, qs)])
+    d, q, out = _quadratic_terms(xv, centers, mats)
 
     def backward(g):
-        dx = []
-        for i in reversed(range(len(ds))):
-            if g[i] == 0.0:
-                dx.append(None)
-                continue
-            t = np.full(xv.shape, g[i] * 0.5)
-            dq = t * ds[i]
-            dx.append(t * qs[i] + (dq if mats is None else mats[i].T @ dq))
-        return dx
+        dx = _quadratic_adjoints(g * 0.5, d, q, mats)
+        return [None if g[i] == 0.0 else dx[i] for i in reversed(range(len(g)))]
 
-    return _record((x,) * len(ds), out, backward)
+    return _record((x,) * len(centers), out, backward)
+
+
+def _quadratic_terms(xs, centers, mats):
+    """``(d, q, f)`` of the (..., N, 1) columns ``xs``: the offsets ``d_i = x - c_i``
+    and ``q_i = A_i d_i``, each (..., M, N, 1), and the losses ``0.5 d_i' q_i``, (..., M).
+
+    Each column's values equal, bit for bit, those of the column alone.
+    """
+    d = xs[..., None, :, :] - centers[:, :, None]
+    q = d if mats is None else mats @ d
+    return d, q, (d * q).sum(axis=(-2, -1)) * 0.5
+
+
+def _quadratic_adjoints(t, d, q, mats):
+    """The adjoints ``t_i q_i + A_i' (t_i d_i)`` of x from each loss, (..., M, N, 1),
+    for half the loss adjoints, ``t`` (..., M), and :func:`_quadratic_terms`' d and q."""
+    t = t[..., None, None]
+    dq = t * d
+    return t * q + (dq if mats is None else mats.swapaxes(-1, -2) @ dq)
 
 
 def window_loss(fs):
@@ -239,25 +264,27 @@ def window_loss(fs):
     if len(vals) < 2 or vals[0].ndim != 1 or any(v.shape != vals[0].shape for v in vals):
         raise ShapeError(f"window_loss: needs two or more equal (M,) vectors, "
                          f"got shapes {[v.shape for v in vals]}")
-    shape, steps = vals[0].shape, len(vals) - 1
-    factor = 1.0 / steps
-    args, total = [], None
-    for prev, curr in zip(vals, vals[1:]):
-        diff = curr - prev
-        args.append(int(np.argmax(diff)))
-        total = diff[args[-1]] if total is None else total + diff[args[-1]]
+    args, out = _window_loss_terms(np.stack(vals))
+    return _record(fs, out, lambda g: list(_window_loss_adjoints(args, len(vals[0]), g)))
 
-    def backward(g):
-        gk = g * factor
-        adj = [None] * (steps + 1)
-        for k in reversed(range(steps)):  # step k + 1 compares f_{k+1} with f_k
-            up, down = np.zeros(shape), np.zeros(shape)
-            up[args[k]], down[args[k]] = gk, -gk
-            adj[k + 1] = up if adj[k + 1] is None else adj[k + 1] + up
-            adj[k] = down
-        return adj
 
-    return _record(fs, np.asarray(total * factor), backward)
+def _window_loss_terms(fs):
+    """``(a, loss)`` of the stacked losses ``fs`` (K + 1, M): each step's
+    lowest-index worst objective a_k, (K,), and the window loss as a 0-d array."""
+    diff = fs[1:] - fs[:-1]
+    args = diff.argmax(axis=1)
+    total = np.add.accumulate(diff[np.arange(len(args)), args])[-1]
+    return args, np.asarray(total * (1.0 / len(args)))
+
+
+def _window_loss_adjoints(args, m, g):
+    """The (K + 1, M) adjoints of the stacked losses from the window loss's adjoint ``g``."""
+    gk = g * (1.0 / len(args))
+    adj = np.zeros((len(args) + 1, m))
+    steps = np.arange(len(args))
+    adj[steps, args] = -gk
+    adj[steps + 1, args] += gk
+    return adj
 
 
 # A cell whose gate block (N x 4H, per stacked slice) has more entries than
@@ -363,32 +390,60 @@ def _lstm_cell(s, hc, wx, wh, b, out=None, gates=None, tc=None):
 
 
 def _lstm_backward(g, gates, tc, s, hc, wx, wh, need_s, need_hc):
-    """Adjoints of (s, hc, wx, wh, bx + bh) from the output adjoint g = (dh', dc').
+    """Adjoints of (s, hc, wx, wh, bx + bh) from the output adjoint g = (dh', dc'):
+    :func:`_lstm_local_adjoints` then :func:`_lstm_leaf_adjoints`."""
+    dpre, ds, dhc = _lstm_local_adjoints(g, gates, tc, _lstm_derivatives(gates, tc), hc[1], wx,
+                                         wh, need_s, need_hc)
+    return ds, dhc, *_lstm_leaf_adjoints(s, hc[0], dpre)
 
-    The adjoints of ``s`` and ``hc`` are None unless ``need_s`` and
-    ``need_hc``: a constant input's adjoint is never read.
+
+def _lstm_derivatives(gates, tc):
+    """The activations' derivatives from the activated ``gates`` and ``tanh(c')``
+    of any stack of cells: ``s (1 - s)`` of the three sigmoid gates, ``1 - g^2``
+    of the candidate and ``1 - tanh(c')^2``."""
+    hid = tc.shape[-1]
+    sig, cand = gates[..., : 3 * hid], gates[..., 3 * hid :]
+    return sig * (1.0 - sig), 1.0 - cand * cand, 1.0 - tc * tc
+
+
+def _lstm_local_adjoints(g, gates, tc, derivs, c, wx, wh, need_s, need_hc, dpre=None):
+    """``(dpre, ds, dhc)`` of a cell from its output adjoint g = (dh', dc').
+
+    ``dpre`` is the adjoint of the pre-activation gates, written into
+    ``dpre`` when given; ``c`` is the input state's c half and ``derivs``
+    :func:`_lstm_derivatives` of the cell. The adjoints of ``s`` and ``hc``
+    are None unless ``need_s`` and ``need_hc``: a constant input's adjoint is
+    never read.
     """
     hid = tc.shape[-1]
     gi, gf, go, cand = (gates[..., k * hid : (k + 1) * hid] for k in range(4))
+    dsig, dcand, dtc = derivs
     dh_new, dc_new = g
     dc_tot = dh_new * go
-    dc_tot *= 1.0 - tc * tc
+    dc_tot *= dtc
     dc_tot += dc_new
-    dpre = np.empty_like(gates)
+    if dpre is None:
+        dpre = np.empty_like(gates)
     np.multiply(dc_tot, cand, out=dpre[..., :hid])
-    np.multiply(dc_tot, hc[1], out=dpre[..., hid : 2 * hid])
+    np.multiply(dc_tot, c, out=dpre[..., hid : 2 * hid])
     np.multiply(dh_new, tc, out=dpre[..., 2 * hid : 3 * hid])
     np.multiply(dc_tot, gi, out=dpre[..., 3 * hid :])
-    sig = gates[..., : 3 * hid]
-    dpre[..., : 3 * hid] *= sig * (1.0 - sig)
-    dpre[..., 3 * hid :] *= 1.0 - cand * cand
+    dpre[..., : 3 * hid] *= dsig
+    dpre[..., 3 * hid :] *= dcand
     ds = dpre @ wx.swapaxes(-1, -2) if need_s else None
     dhc = None
     if need_hc:
-        dhc = np.empty(hc.shape)
+        dhc = np.empty((2,) + c.shape)
         np.matmul(dpre, wh.swapaxes(-1, -2), out=dhc[0])
         np.multiply(dc_tot, gf, out=dhc[1])
-    return (ds, dhc, s.swapaxes(-1, -2) @ dpre, hc[0].swapaxes(-1, -2) @ dpre,
+    return dpre, ds, dhc
+
+
+def _lstm_leaf_adjoints(s, h, dpre):
+    """The adjoints of ``wx``, ``wh`` and ``bx + bh`` from the cell's input ``s``,
+    its input state's h half and ``dpre``: ``s' dpre``, ``h' dpre`` and the
+    column sums of ``dpre``. Leading axes stack cells, or one cell's steps."""
+    return (s.swapaxes(-1, -2) @ dpre, h.swapaxes(-1, -2) @ dpre,
             dpre.sum(axis=-2, keepdims=True))
 
 

@@ -17,15 +17,39 @@ from .harness import COMPARE_METRICS, ConfigError, compare_cmd, run_experiment, 
 
 
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError([f"--config: cannot read {path!r}: {exc.strerror}"]) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"--config: {path!r} is not JSON: {exc}"]) from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError([f"--config: {path!r} holds a JSON {type(cfg).__name__}, not an object"])
+    return cfg
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
     cfg = dict(cfg)
     if getattr(args, "seeds", None):
-        cfg["seeds"] = [int(s) for s in args.seeds.split(",") if s]
+        try:
+            cfg["seeds"] = [int(s) for s in args.seeds.split(",") if s]
+        except ValueError:
+            raise ConfigError([f"--seeds: {args.seeds!r} is not a comma-separated list of "
+                               "integers"]) from None
     return cfg
+
+
+def _criteria(only: str, numbers: list[int]) -> list[int]:
+    """The criterion numbers of the ``--only`` value, each one of ``numbers``."""
+    try:
+        picked = [int(s) for s in only.split(",")]
+    except ValueError:
+        picked = None
+    if picked is None or not set(picked) <= set(numbers):
+        raise ConfigError([f"--only: {only!r} is not a comma-separated list of criterion "
+                           f"numbers; the criteria are {', '.join(map(str, numbers))}"])
+    return picked
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -76,11 +100,11 @@ def main(argv: list[str] | None = None) -> int:
                     f"mean={row['mean']:.6g} std={row['std']:.6g} (n={row['n_seeds']})"
                 )
         elif args.command == "check":
-            from .checks import run_checks
+            from .checks import CHECKS, run_checks
 
             only = None
             if args.only:
-                only = [int(s) for s in args.only.split(",") if s]
+                only = _criteria(args.only, [number for number, _, _ in CHECKS])
             ok = run_checks(work_dir=args.out, only=only)
             return 0 if ok else 3
     except ConfigError as exc:

@@ -210,9 +210,22 @@ def unroll_window(problem, x_col, state: Ml2oState, fused, window: int, alpha: f
     increase (:func:`ad.window_loss`). ``draw_fn(j, x_value)`` supplies the
     (M, N) gradient stack for local step j; its output is detached. Every
     step has size ``alpha``. ``fused`` maps the :func:`fused_shapes` names to
-    plain arrays (evaluation) or tape Vars (training); both run the same
-    arithmetic.
+    plain arrays (evaluation) or tape Vars (training).
+
+    With Vars, the whole window is one tape node (:func:`_window_node`), and
+    the iterate and state come back as plain arrays; the start iterate
+    ``x_col`` and ``state`` must then be plain arrays too. Its loss and
+    gradients equal, bit for bit, those of :func:`_unroll_steps`, the chain
+    of one node per primitive that plain arrays run.
     """
+    if any(isinstance(v, ad.Var) for v in fused.values()):
+        return _window_node(problem, x_col, state, fused, window, alpha, draw_fn)
+    return _unroll_steps(problem, x_col, state, fused, window, alpha, draw_fn)
+
+
+def _unroll_steps(problem, x_col, state, fused, window, alpha, draw_fn):
+    """:func:`unroll_window` step by step through the autodiff primitives; with
+    Vars, six tape nodes a step and one for the window loss."""
     fs = [problem.eval_terms(x_col)]
     x = x_col
     for j in range(window):
@@ -221,6 +234,110 @@ def unroll_window(problem, x_col, state: Ml2oState, fused, window: int, alpha: f
         x = ad.sub_scaled(x, g_col, alpha)
         fs.append(problem.eval_terms(x))
     return ad.window_loss(fs), x, state
+
+
+# The window node's inputs, and the adjoints its backward returns, in this order.
+_WINDOW_LEAVES = ("spec.wx", "spec.wh", "spec.bx", "spec.bh", "shared.wx", "shared.wh",
+                  "shared.bx", "shared.bh", "head.w", "head.b")
+
+
+def _window_node(problem, x_col, state, fused, window, alpha, draw_fn):
+    """:func:`unroll_window` as one tape node, for a problem whose ``eval_terms``
+    are the quadratic losses of its ``centers`` and ``mats``.
+
+    The forward runs the cells' arithmetic step by step into (T, ...) window
+    buffers. The backward sweeps the steps in reverse with the primitives'
+    adjoint formulas and adds each adjoint in the order the per-step chain
+    adds it. What is off the recurrence is taken once per window: the
+    activations' derivatives and the losses' adjoints on the stacked steps,
+    and each leaf's products as stacked matmuls, summed in reverse step order.
+    """
+    if any(isinstance(v, ad.Var) for v in (x_col, state.spec, state.shared)):
+        raise TypeError("a taped window starts from a plain iterate and state")
+    f0 = problem.eval_terms(x_col)
+    centers, mats = problem.centers, problem.mats
+    (spec_wx, spec_wh, spec_bx, spec_bh, sh_wx, sh_wh, sh_bx, sh_bh,
+     head_w, head_b) = (ad.value(fused[k]) for k in _WINDOW_LEAVES)
+    m, n, hid = state.spec.shape[1:]
+    mh = m * hid
+    want = {**fused_shapes(m, hid), "x": (n, 1), "spec": (2, m, n, hid), "shared": (2, n, mh)}
+    got = {**{k: ad.value(fused[k]).shape for k in _WINDOW_LEAVES}, "x": x_col.shape,
+           "spec": state.spec.shape, "shared": state.shared.shape}
+    if got != want or window < 1:
+        raise ShapeError(f"unroll_window: a {window}-step window cannot run shapes {got}")
+    spec_b, sh_b = spec_bx + spec_bh, sh_bx + sh_bh
+    # step j reads xs[j], spec[j] and shared[j] and writes index j + 1
+    xs = np.empty((window + 1, n, 1))
+    spec = np.empty((window + 1, 2, m, n, hid))
+    shared = np.empty((window + 1, 2, n, mh))
+    ins, cat = np.empty((window, m, n, 2)), np.empty((window, n, mh))
+    spec_gates, spec_tc = np.empty((window, m, n, 4 * hid)), np.empty((window, m, n, hid))
+    sh_gates, sh_tc = np.empty((window, n, 4 * mh)), np.empty((window, n, mh))
+    xs[0], spec[0], shared[0] = x_col, state.spec, state.shared
+    for j in range(window):
+        y_rows = np.asarray(draw_fn(j, xs[j].reshape(-1)), dtype=np.float64)
+        if y_rows.shape != (m, n):
+            raise ShapeError(f"unroll_window: step {j} drew a {y_rows.shape} stack, not ({m}, {n})")
+        ins[j] = preprocess_gradient(y_rows)
+        ad._lstm_cell(ins[j], spec[j], spec_wx, spec_wh, spec_b, spec[j + 1], spec_gates[j],
+                      spec_tc[j])
+        cat[j].reshape(n, m, hid)[...] = spec[j + 1, 0].swapaxes(0, 1)
+        ad._lstm_cell(cat[j], shared[j], sh_wx, sh_wh, sh_b, shared[j + 1], sh_gates[j], sh_tc[j])
+        np.subtract(xs[j], (shared[j + 1, 0] @ head_w + head_b) * alpha, out=xs[j + 1])
+    d, q, fs = ad._quadratic_terms(xs[1:], centers, mats)
+    args, loss = ad._window_loss_terms(np.vstack((f0, fs)))
+
+    def backward(g):
+        adj_f = ad._window_loss_adjoints(args, m, g)[1:]
+        if not adj_f.any():
+            return (None,) * len(_WINDOW_LEAVES)
+        dx = ad._quadratic_adjoints(adj_f * 0.5, d, q, mats)
+        spec_derivs = ad._lstm_derivatives(spec_gates, spec_tc)
+        sh_derivs = ad._lstm_derivatives(sh_gates, sh_tc)
+        spec_dpre, sh_dpre = np.empty_like(spec_gates), np.empty_like(sh_gates)
+        head_g = np.empty((window, n, 1))
+        spec_zero, sh_zero = np.zeros((m, n, hid)), np.zeros((n, mh))
+        adj_x = d_spec = d_sh = None
+        for j in reversed(range(window)):
+            # x_{j+1}: the next update's adjoint, then its losses', last objective first
+            for i in reversed(range(m)):
+                if adj_f[j, i] != 0.0:
+                    adj_x = dx[j, i] if adj_x is None else adj_x + dx[j, i]
+            np.multiply(-adj_x, alpha, out=head_g[j])
+            # shared[j + 1]: the next shared cell's adjoint, then the head's, whose c half
+            # is zero (adding it, as the chain does, turns a -0.0 into 0.0)
+            dh = head_g[j] @ head_w.T
+            g_sh = (dh, sh_zero) if d_sh is None else (d_sh[0] + dh, d_sh[1] + 0.0)
+            _, d_cat, d_sh = ad._lstm_local_adjoints(
+                g_sh, sh_gates[j], sh_tc[j], [a[j] for a in sh_derivs], shared[j, 1], sh_wx,
+                sh_wh, True, j > 0, sh_dpre[j])
+            # spec[j + 1]: the next objective cells' adjoint, then the shared cell input's
+            dh = d_cat.reshape(n, m, hid).swapaxes(0, 1)
+            g_spec = (dh, spec_zero) if d_spec is None else (d_spec[0] + dh, d_spec[1] + 0.0)
+            _, _, d_spec = ad._lstm_local_adjoints(
+                g_spec, spec_gates[j], spec_tc[j], [a[j] for a in spec_derivs], spec[j, 1],
+                spec_wx, spec_wh, False, j > 0, spec_dpre[j])
+        spec_leaves = ad._lstm_leaf_adjoints(ins, spec[:-1, 0], spec_dpre)
+        sh_leaves = ad._lstm_leaf_adjoints(cat, shared[:-1, 0], sh_dpre)
+        head_leaves = ad._head_leaf_adjoints(shared[1:, 0], head_g)
+        (d_spec_wx, d_spec_wh, d_spec_b, d_sh_wx, d_sh_wh, d_sh_b, d_head_w,
+         d_head_b) = map(_sum_steps_reversed, (*spec_leaves, *sh_leaves, *head_leaves))
+        return (d_spec_wx, d_spec_wh, d_spec_b, d_spec_b, d_sh_wx, d_sh_wh, d_sh_b, d_sh_b,
+                d_head_w, d_head_b)
+
+    mean = ad._record(tuple(fused[k] for k in _WINDOW_LEAVES), loss, backward)
+    return mean, xs[-1].copy(), Ml2oState(spec[-1].copy(), shared[-1].copy())
+
+
+def _sum_steps_reversed(c):
+    """``c[T-1] + c[T-2] + ... + c[0]``, added left to right as the per-step sweep adds them.
+
+    numpy reduces a stack of arrays one step after another, but a stack of
+    single numbers pairwise, so those are accumulated.
+    """
+    if c[0].size > 1:
+        return np.add.reduce(c[::-1], axis=0)
+    return np.add.accumulate(c[::-1], axis=0)[-1]
 
 
 def _draw_fn(problem, draw_mode: str, rng: np.random.Generator):

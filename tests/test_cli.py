@@ -196,6 +196,35 @@ def test_repeated_seed_override_is_config_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+MALFORMED_INPUT = [
+    ("not-json", "bad.json", '{"steps": 3,', [], "--config: '{path}' is not JSON"),
+    ("json-list", "list.json", "[1]", [], "--config: '{path}' holds a JSON list, not an object"),
+    ("missing", None, None, [], "--config: cannot read '{path}'"),
+    ("seeds", "cfg.json", "{}", ["--seeds", "a,b"],
+     "--seeds: 'a,b' is not a comma-separated list of integers"),
+]
+
+
+@pytest.mark.parametrize("name, text, extra, message",
+                         [(n, t, e, m) for _, n, t, e, m in MALFORMED_INPUT],
+                         ids=[case[0] for case in MALFORMED_INPUT])
+def test_malformed_cli_input_is_config_error(tmp_path, capsys, name, text, extra, message):
+    path = tmp_path / (name or "missing.json")
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", "--config", str(path), *extra]) == 1
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("only", ["99", "x", "2,", "0,2"])
+def test_check_only_must_name_criteria(capsys, only):
+    assert main(["check", "--only", only]) == 1
+    err = capsys.readouterr().err
+    assert f"--only: {only!r} is not a comma-separated list of criterion numbers" in err
+    assert "the criteria are 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13" in err
+
+
 def cli_subprocess(args):
     """Run the CLI in a child interpreter, its stdin empty and its output captured.
 

@@ -29,6 +29,7 @@ from moograd.ml2o import (
 )
 from moograd.optimizers import SampleSchedule, StepSchedule, run_population, run_steps
 from moograd.problems import make_quadratic_pair, make_toy_mtl
+from test_golden import curved_pair
 
 
 def make_cell(seed, in_w, hid, scale=0.5):
@@ -351,11 +352,67 @@ def taped_window():
 
 
 def test_unroll_window_records_few_nodes():
-    """10 fused parameter leaves, 6 nodes a step (two LSTM cells, the shared
-    cell's input, the head, the iterate update and the losses) and the window
-    loss, no constants: 10 + 6 * 20 + 1."""
+    """10 fused parameter leaves and one node for the whole window, no constants:
+    10 + 1. The per-step chain records 6 nodes a step and the window loss."""
     tape, _ = taped_window()
-    assert len(tape.nodes) == 131
+    assert len(tape.nodes) == 11
+
+
+# steps T, dim N, hidden H, curvature, start state, draws and seed. Most
+# windows have steps whose worst objective is that of the step before, so that
+# one f_k gets a zero adjoint; the last one also has steps where it changes.
+WINDOW_CASES = {
+    "T1": (1, 3, 4, "identity", "zero", "sample", 0),
+    "T20-curved-state": (20, 5, 3, "curved", "random", "sample", 0),
+    "exact-identity-state": (7, 2, 6, "identity", "random", "exact", 0),
+    "exact-curved": (20, 8, 8, "curved", "zero", "exact", 0),
+    "shared-worst": (16, 6, 2, "curved", "random", "sample", 32),
+}
+
+
+def run_window(unroll, case):
+    """The loss, gradients (fused names and checkpoint aliases), final iterate and
+    state of one taped window through ``unroll``, and each step's worst objective."""
+    steps, dim, hidden, curvature, start, draws, seed = WINDOW_CASES[case]
+    rng = np.random.default_rng(seed)
+    prob = (make_quadratic_pair(dim, seed=seed + 5, noise_sigma=0.1) if curvature == "identity"
+            else curved_pair(rng, dim))
+    x0 = prob.initial_point(rng).reshape(-1, 1)
+    state = init_state(2, hidden, dim)
+    if start == "random":
+        state = Ml2oState(rng.uniform(-0.5, 0.5, state.spec.shape),
+                          rng.uniform(-0.5, 0.5, state.shared.shape))
+    draw_rng, iterates = np.random.default_rng(seed + 1), []
+
+    def draw(j, xv):
+        iterates.append(xv.copy())
+        return prob.full_jacobian(xv) if draws == "exact" else prob.sample_gradient(xv, draw_rng)
+
+    store = store_from_params(init_params(2, hidden, seed))
+    tape = ad.Tape()
+    leafs = {name: tape.param(store, name) for name in store.names()}
+    mean, x, state = unroll(prob, x0, state, leafs, steps, 0.35, draw)
+    ad.backward(tape, mean)
+    losses = np.array([prob.eval(v) for v in [*iterates, ad.value(x).reshape(-1)]])
+    worst = np.argmax(losses[1:] - losses[:-1], axis=1)
+    return float(ad.value(mean)), store.grads, ad.value(x), state.detached(), worst
+
+
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_window_node_equals_the_per_step_chain_bitwise(case):
+    loss, grads, x, state, worst = run_window(unroll_window, case)
+    ref_loss, ref_grads, ref_x, ref_state, _ = run_window(ml2o._unroll_steps, case)
+    assert loss == ref_loss
+    # the fused names and the checkpoint aliases (whose head.w and head.b are the fused ones)
+    assert len(grads) == 10 + 3 * 4 * len(GATES)
+    assert grads.keys() == ref_grads.keys()
+    for name in ref_grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert np.array_equal(x, ref_x)
+    assert np.array_equal(state.spec, ref_state.spec)
+    assert np.array_equal(state.shared, ref_state.shared)
+    if case == "shared-worst":  # f_k's adjoint is zero where worst[k] == worst[k - 1]
+        assert np.any(worst[1:] == worst[:-1]) and np.any(worst[1:] != worst[:-1])
 
 
 def test_dropped_window_tape_is_freed_without_the_cycle_collector():
