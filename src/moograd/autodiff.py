@@ -23,14 +23,16 @@ reverse and knows no primitive. No closure holds a :class:`Var`: that would
 make a cycle (tape, node, closure, Var, tape), and every dropped tape would
 then wait for the cycle collector.
 
-Meta-training does not record the primitives step by step: it records one
-node per truncation window (``ml2o.unroll_window``), whose forward runs the
-cells' arithmetic and whose backward calls the same private formula
-functions as the primitives' backwards (:func:`_lstm_local_adjoints`,
+No window of ``moograd`` runs the primitives step by step. Every unrolled
+window, meta-training's and evaluation's alike, is ``ml2o.unroll_window``:
+one node per window on a tape and none without one. Its forward runs the
+cells' arithmetic, and its backward calls the same private formula functions
+as the primitives' backwards (:func:`_lstm_local_adjoints`,
 :func:`_lstm_leaf_adjoints`, :func:`_head_leaf_adjoints`,
-:func:`_quadratic_adjoints`, :func:`_window_loss_adjoints`), each on a
-whole window's stacked steps where it can be. The primitives' taped forms
-are the reference that the window node is checked against, bit for bit.
+:func:`_quadratic_adjoints`, :func:`_window_loss_adjoints`), each on a whole
+window's stacked steps where it can be. The primitives' taped forms are the
+reference that the window is checked against, bit for bit; untaped,
+:func:`lstm`, :func:`concat_h` and :func:`head` run ``ml2o.ml2o_direction``.
 
 Elementwise ops require equal shapes; only :func:`head` broadcasts its
 ``(1, out)`` bias row, and an untaped :func:`lstm` its weights.
@@ -287,13 +289,13 @@ def _window_loss_adjoints(args, m, g):
     return adj
 
 
-# A cell whose gate block (N x 4H, per stacked slice) has more entries than
-# this (128 KiB, glibc's default mmap threshold) runs slice by slice in tiles
-# of _TILE_GATE_ENTRIES // 4H rows; an untaped run reuses one tile-sized gate
-# buffer and one tanh(c') buffer for every tile. Whole blocks that large made
-# malloc return the heap top after each call and fault it in on the next, and
-# kept the largest block's temporaries resident. Smaller cells, such as
-# meta-training's N = 8, H = 8 ones, run as one call over all their slices.
+# An untaped cell whose gate block (N x 4H, per stacked slice) has more entries
+# than this (128 KiB, glibc's default mmap threshold) runs slice by slice in
+# tiles of _TILE_GATE_ENTRIES // 4H rows on one tile-sized gate buffer and one
+# tanh(c') buffer. Whole blocks that large made malloc return the heap top
+# after each call and fault it in on the next, and kept the largest block's
+# temporaries resident. Smaller cells, and every taped cell (whose gates and
+# tanh(c') the backward keeps), run as one call over all their slices.
 _TILE_GATE_ENTRIES = 2**14
 
 
@@ -314,11 +316,20 @@ def lstm(s, hc, wx, wh, bx, bh):
     the same adjoint, as they would through a node for ``bx + bh``.
     """
     args = (s, hc, wx, wh, bx, bh)
-    vals = [value(x) for x in args]
-    if vals[4].shape != vals[5].shape:
-        raise ShapeError(f"lstm: bias shapes bx {vals[4].shape} and bh {vals[5].shape} differ")
+    sv, hv, wxv, whv, bxv, bhv = vals = [value(x) for x in args]
+    if bxv.shape != bhv.shape:
+        raise ShapeError(f"lstm: bias shapes bx {bxv.shape} and bh {bhv.shape} differ")
     taped = [isinstance(x, Var) for x in args]
-    out, gates, tc = _lstm_forward(*vals[:4], vals[4] + vals[5], keep=any(taped))
+    lead, hid = sv.shape[:-2], hv.shape[-1]
+    wlead = lead if any(taped) else lead[len(lead) + 2 - wxv.ndim :]
+    if not (sv.ndim >= 2 and hv.shape == (2,) + sv.shape[:-1] + (hid,)
+            and wxv.shape == wlead + (sv.shape[-1], 4 * hid)
+            and whv.shape == wlead + (hid, 4 * hid) and bxv.shape == wlead + (1, 4 * hid)):
+        raise ShapeError(f"lstm: incompatible shapes s {sv.shape}, hc {hv.shape}, "
+                         f"wx {wxv.shape}, wh {whv.shape}, b {bxv.shape}")
+    if not any(taped):
+        return _lstm_forward(sv, hv, wxv, whv, bxv + bhv)
+    out, gates, tc = _lstm_cell(sv, hv, wxv, whv, bxv + bhv)
 
     def backward(g):
         *adj, db = _lstm_backward(g, gates, tc, *vals[:4], *taped[:2])
@@ -327,40 +338,23 @@ def lstm(s, hc, wx, wh, bx, bh):
     return _record(args, out, backward)
 
 
-def _lstm_forward(s, hc, wx, wh, b, keep):
-    """``(hc', gates, tanh(c'))``, the last two for the backward.
-
-    A tiled run keeps them only when ``keep`` (a taped call), and an untaped
-    one returns None for both; row tiles equal the whole cell bit for bit.
-    """
+def _lstm_forward(s, hc, wx, wh, b):
+    """The untaped ``hc'`` of :func:`lstm`, in row tiles when the gate block is
+    large; row tiles equal the whole cell bit for bit."""
     lead, (n, hid) = s.shape[:-2], hc.shape[-2:]
-    wlead = lead if keep else lead[len(lead) + 2 - wx.ndim :]
-    shapes_ok = (
-        s.ndim >= 2 and hc.shape == (2,) + s.shape[:-1] + (hid,)
-        and wx.shape == wlead + (s.shape[-1], 4 * hid)
-        and wh.shape == wlead + (hid, 4 * hid)
-        and b.shape == wlead + (1, 4 * hid)
-    )
-    if not shapes_ok:
-        raise ShapeError(f"lstm: incompatible shapes s {s.shape}, hc {hc.shape}, "
-                         f"wx {wx.shape}, wh {wh.shape}, b {b.shape}")
     if n * 4 * hid <= _TILE_GATE_ENTRIES:
-        return _lstm_cell(s, hc, wx, wh, b)
+        return _lstm_cell(s, hc, wx, wh, b)[0]
     rows = _TILE_GATE_ENTRIES // (4 * hid)
     out = np.empty(hc.shape)
-    if keep:
-        gates, tc = np.empty(s.shape[:-1] + (4 * hid,)), np.empty(s.shape[:-1] + (hid,))
-    else:
-        gates = tc = None
-        gate_buf, tc_buf = np.empty((rows, 4 * hid)), np.empty((rows, hid))
+    gates, tc = np.empty((rows, 4 * hid)), np.empty((rows, hid))
     for i in np.ndindex(lead):
-        w = i[len(i) - len(wlead) :]
+        w = i[len(i) + 2 - wx.ndim :]
         for lo in range(0, n, rows):
             tile = i + (slice(lo, lo + rows),)
             both = (slice(None),) + tile
-            kept = (gates[tile], tc[tile]) if keep else (gate_buf[: n - lo], tc_buf[: n - lo])
-            _lstm_cell(s[tile], hc[both], wx[w], wh[w], b[w], out[both], *kept)
-    return out, gates, tc
+            _lstm_cell(s[tile], hc[both], wx[w], wh[w], b[w], out[both], gates[: n - lo],
+                       tc[: n - lo])
+    return out
 
 
 def _lstm_cell(s, hc, wx, wh, b, out=None, gates=None, tc=None):

@@ -295,11 +295,6 @@ def csv_content_hash(lines: list[str]) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def hash_csv_file(path: str) -> str:
-    with open(path) as fh:
-        return csv_content_hash(fh.read().splitlines())
-
-
 def _write_manifest(out_dir: str, doc: dict) -> None:
     tmp = os.path.join(out_dir, "manifest.json.tmp")
     with open(tmp, "w") as fh:

@@ -128,9 +128,6 @@ class Ml2oState:
     spec: object
     shared: object
 
-    def detached(self) -> "Ml2oState":
-        return Ml2oState(ad.value(self.spec), ad.value(self.shared))
-
 
 def init_state(m: int, hidden: int, n_coords: int, lead: tuple[int, ...] = ()) -> Ml2oState:
     return Ml2oState(np.zeros((2, *lead, m, n_coords, hidden)),
@@ -153,17 +150,6 @@ def preprocess_gradient(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _direction_core(y_rows: np.ndarray, state: Ml2oState, fused) -> tuple:
-    """Shared forward pass; returns ((..., N, 1) update columns, new state).
-
-    ``fused`` maps the :func:`fused_shapes` names to arrays or to their Vars.
-    """
-    cell = lambda p: [fused[p + kind] for kind in ("wx", "wh", "bx", "bh")]
-    spec = ad.lstm(preprocess_gradient(y_rows), state.spec, *cell("spec."))
-    sh = ad.lstm(ad.concat_h(spec), state.shared, *cell("shared."))
-    return ad.head(sh, fused["head.w"], fused["head.b"]), Ml2oState(spec, sh)
-
-
 def ml2o_direction(y_rows: np.ndarray, state: Ml2oState, params: Ml2oParams):
     """Map (..., M, N) gradient stacks plus their recurrent state to update vectors.
 
@@ -175,8 +161,11 @@ def ml2o_direction(y_rows: np.ndarray, state: Ml2oState, params: Ml2oParams):
     y_rows = np.asarray(y_rows, dtype=np.float64)
     if y_rows.ndim < 2 or y_rows.shape[-2] != params.m:
         raise ShapeError(f"expected (..., {params.m}, N) gradient stacks, got {y_rows.shape}")
-    g_col, new_state = _direction_core(y_rows, state, params.fused)
-    return g_col[..., 0], new_state
+    cell = lambda p: [params.fused[p + kind] for kind in ("wx", "wh", "bx", "bh")]
+    spec = ad.lstm(preprocess_gradient(y_rows), state.spec, *cell("spec."))
+    sh = ad.lstm(ad.concat_h(spec), state.shared, *cell("shared."))
+    g_col = ad.head(sh, params.fused["head.w"], params.fused["head.b"])
+    return g_col[..., 0], Ml2oState(spec, sh)
 
 
 def learned_directions(ys: np.ndarray, memory: dict, params: Ml2oParams) -> np.ndarray:
@@ -202,6 +191,11 @@ def learned_step(problem, xs, k, alpha, rngs, memory, model: Ml2oParams, samples
     return descend(xs, alpha, learned_directions(grads, memory, model), n)
 
 
+# The window node's inputs, and the adjoints its backward returns, in this order.
+_WINDOW_LEAVES = ("spec.wx", "spec.wh", "spec.bx", "spec.bh", "shared.wx", "shared.wh",
+                  "shared.bx", "shared.bh", "head.w", "head.b")
+
+
 def unroll_window(problem, x_col, state: Ml2oState, fused, window: int, alpha: float,
                   draw_fn: Callable[[int, np.ndarray], np.ndarray]):
     """Unroll ``window`` learned steps; return their window loss, the iterate and the state.
@@ -209,42 +203,16 @@ def unroll_window(problem, x_col, state: Ml2oState, fused, window: int, alpha: f
     The window loss is the mean over the steps of the worst per-objective
     increase (:func:`ad.window_loss`). ``draw_fn(j, x_value)`` supplies the
     (M, N) gradient stack for local step j; its output is detached. Every
-    step has size ``alpha``. ``fused`` maps the :func:`fused_shapes` names to
-    plain arrays (evaluation) or tape Vars (training).
+    step has size ``alpha``. The problem's ``eval_terms`` must be the
+    quadratic losses of its ``centers`` and ``mats``; any other problem's
+    raises ``problems.UnsupportedCapability`` first. ``fused`` maps the
+    :func:`fused_shapes` names to plain arrays (evaluation) or tape Vars
+    (training); the start iterate ``x_col`` and ``state`` are plain arrays,
+    and so are the iterate and state returned.
 
-    With Vars, the whole window is one tape node (:func:`_window_node`), and
-    the iterate and state come back as plain arrays; the start iterate
-    ``x_col`` and ``state`` must then be plain arrays too. Its loss and
-    gradients equal, bit for bit, those of :func:`_unroll_steps`, the chain
-    of one node per primitive that plain arrays run.
-    """
-    if any(isinstance(v, ad.Var) for v in fused.values()):
-        return _window_node(problem, x_col, state, fused, window, alpha, draw_fn)
-    return _unroll_steps(problem, x_col, state, fused, window, alpha, draw_fn)
-
-
-def _unroll_steps(problem, x_col, state, fused, window, alpha, draw_fn):
-    """:func:`unroll_window` step by step through the autodiff primitives; with
-    Vars, six tape nodes a step and one for the window loss."""
-    fs = [problem.eval_terms(x_col)]
-    x = x_col
-    for j in range(window):
-        y_rows = draw_fn(j, ad.value(x).reshape(-1))
-        g_col, state = _direction_core(np.asarray(y_rows, dtype=np.float64), state, fused)
-        x = ad.sub_scaled(x, g_col, alpha)
-        fs.append(problem.eval_terms(x))
-    return ad.window_loss(fs), x, state
-
-
-# The window node's inputs, and the adjoints its backward returns, in this order.
-_WINDOW_LEAVES = ("spec.wx", "spec.wh", "spec.bx", "spec.bh", "shared.wx", "shared.wh",
-                  "shared.bx", "shared.bh", "head.w", "head.b")
-
-
-def _window_node(problem, x_col, state, fused, window, alpha, draw_fn):
-    """:func:`unroll_window` as one tape node, for a problem whose ``eval_terms``
-    are the quadratic losses of its ``centers`` and ``mats``.
-
+    With Vars, the whole window is one tape node and the loss a Var; with
+    plain arrays nothing is recorded. The loss, iterate, state and gradients
+    equal, bit for bit, those of a chain of one node per autodiff primitive.
     The forward runs the cells' arithmetic step by step into (T, ...) window
     buffers. The backward sweeps the steps in reverse with the primitives'
     adjoint formulas and adds each adjoint in the order the per-step chain
@@ -253,7 +221,7 @@ def _window_node(problem, x_col, state, fused, window, alpha, draw_fn):
     and each leaf's products as stacked matmuls, summed in reverse step order.
     """
     if any(isinstance(v, ad.Var) for v in (x_col, state.spec, state.shared)):
-        raise TypeError("a taped window starts from a plain iterate and state")
+        raise TypeError("a window starts from a plain iterate and state")
     f0 = problem.eval_terms(x_col)
     centers, mats = problem.centers, problem.mats
     (spec_wx, spec_wh, spec_bx, spec_bh, sh_wx, sh_wh, sh_bx, sh_bh,
@@ -403,21 +371,18 @@ def meta_train(
         for period in range(periods):
             tape = Tape()
             leafs = {name: tape.param(store, name) for name in store.names()}
-            mean_var, x_var, state_var = unroll_window(problem, x, state, leafs, window, alpha,
-                                                       draw_fn)
+            mean_var, x, state = unroll_window(problem, x, state, leafs, window, alpha, draw_fn)
             loss_val = float(ad.value(mean_var))
             if not math.isfinite(loss_val):
                 raise MetaTrainDiverged(
                     f"non-finite meta-loss at epoch {epoch} period {period}: "
-                    f"|x|={np.linalg.norm(ad.value(x_var)):.3e}"
+                    f"|x|={np.linalg.norm(x):.3e}"
                 )
             ad.backward(tape, mean_var)
             for name in store.names():
                 store.params[name] = store.params[name] - meta_lr * store.grads[name]
             store.zero_grad()
             trace.append((epoch, period, loss_val))
-            x = ad.value(x_var)
-            state = state_var.detached()
     trained = Ml2oParams(params0.m, params0.hidden, store.copy_params())
     return trained, trace
 

@@ -472,20 +472,13 @@ def test_untaped_lstm_broadcasts_weights_over_extra_leading_axes(n, hid):
 @pytest.mark.parametrize("lead, n, hid", [((), 1870, 20), ((2,), 999, 8)],
                          ids=["one_cell", "stacked"])
 def test_tiled_lstm_equals_whole_cell_bitwise(lead, n, hid):
-    """Row tiles, the last one ragged, give the whole cell's state and adjoints bit for bit."""
+    """An untaped call's row tiles, the last one ragged, give the whole cell's state bit for bit."""
     rows = ad._TILE_GATE_ENTRIES // (4 * hid)
     assert n > rows and n % rows != 0
-    store, r = _lstm_inputs(15, n, 3, hid, lead=lead)
+    store, _ = _lstm_inputs(15, n, 3, hid, lead=lead)
     p = store.params
-    whole, gates, tc = ad._lstm_cell(*(p[k] for k in LSTM_ARGS[:4]), p["bx"] + p["bh"])
+    whole, _, _ = ad._lstm_cell(*(p[k] for k in LSTM_ARGS[:4]), p["bx"] + p["bh"])
     assert np.array_equal(ad.lstm(*(p[k] for k in LSTM_ARGS)), whole)
-    *want, db = ad._lstm_backward(r, gates, tc, *(p[k] for k in LSTM_ARGS[:4]), True, True)
-    want += [db, db]
-    tape, out = _weighted_lstm_loss(r)(store)
-    assert np.array_equal(tape.nodes[out.nid - 1].value, whole)
-    ad.backward(tape, out)
-    for k, g in zip(LSTM_ARGS, want):
-        assert np.array_equal(store.grads[k], g), k
 
 
 def test_taped_ops_record_no_constant_nodes():

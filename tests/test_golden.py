@@ -15,9 +15,12 @@ import numpy as np
 import pytest
 
 from moograd import autodiff as ad
+from moograd.checks import ML2O_RUN_ALPHA, VALIDATION_PROBLEM_SEED
 from moograd.harness import run_experiment
 from moograd.minnorm import solve_min_norm
 from moograd.ml2o import (
+    Ml2oState,
+    evaluate_meta_loss,
     init_params,
     init_state,
     load_checkpoint,
@@ -300,6 +303,25 @@ def test_curved_quadratic_bits_match_golden():
                             window=10, meta_lr=0.05, epochs=10, seed=3, alpha=0.2)
     assert array_digest(trained.arrays) == (
         "ce73bc4bdafe2a449b5517d4fd137b09e7325fa6f873648e192a6c334c061178"
+    )
+
+
+def test_plain_window_bits_match_golden():
+    """The untaped window: criterion 8's held-out meta-loss of an H = 8 and an
+    H = 20 model, and the loss, iterate and state of one curved 30-step window
+    from a random start state."""
+    heldout = [make_quadratic_pair(8, seed=VALIDATION_PROBLEM_SEED + i) for i in range(20)]
+    held = [evaluate_meta_loss(heldout, init_params(2, hidden, seed), 100, ML2O_RUN_ALPHA, seed=7)
+            for hidden, seed in ((8, 0), (20, 1))]
+    rng = np.random.default_rng(13)
+    problem = curved_pair(rng, 5)
+    x = problem.initial_point(rng).reshape(-1, 1)
+    state = Ml2oState(rng.uniform(-0.5, 0.5, (2, 2, 5, 6)), rng.uniform(-0.5, 0.5, (2, 5, 12)))
+    mean, x, state = unroll_window(problem, x, state, init_params(2, 6, 3).fused, 30, 0.2,
+                                   lambda j, xv: problem.sample_gradient(xv, rng))
+    arrays = {"held": held, "loss": mean, "x": x, "spec": state.spec, "shared": state.shared}
+    assert array_digest(arrays) == (
+        "3439ce03d623b8d49348b0ec004eebfab873b3c5f820a5630254aead4d89009a"
     )
 
 

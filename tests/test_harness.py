@@ -8,7 +8,6 @@ from moograd.harness import (
     ConfigError,
     compare_cmd,
     csv_content_hash,
-    hash_csv_file,
     run_experiment,
     train_ml2o_cmd,
     validate_run_config,
@@ -74,7 +73,7 @@ def test_run_experiment_outputs_and_manifest(tmp_path):
         lines = read_csv(path)
         assert lines[0] == "k,loss_1,loss_2,direction_norm,alpha,n_samples,guard_choice,wall_time"
         assert len(lines) == 1 + entry["rows"] == 1 + 12
-        assert hash_csv_file(path) == entry["content_hash"]
+        assert csv_content_hash(lines) == entry["content_hash"]
         assert entry["nonconverged_solves"] == 0
         assert entry["eval_count"] == 12
         ks = [int(line.split(",")[0]) for line in lines[1:]]

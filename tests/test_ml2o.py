@@ -28,7 +28,7 @@ from moograd.ml2o import (
     unroll_window,
 )
 from moograd.optimizers import SampleSchedule, StepSchedule, run_population, run_steps
-from moograd.problems import make_quadratic_pair, make_toy_mtl
+from moograd.problems import UnsupportedCapability, make_quadratic_pair, make_toy_mtl
 from test_golden import curved_pair
 
 
@@ -370,9 +370,26 @@ WINDOW_CASES = {
 }
 
 
-def run_window(unroll, case):
-    """The loss, gradients (fused names and checkpoint aliases), final iterate and
-    state of one taped window through ``unroll``, and each step's worst objective."""
+def unroll_steps(problem, x_col, state, fused, window, alpha, draw_fn):
+    """The reference that ``unroll_window`` equals bit for bit: the window as a
+    chain of the autodiff primitives, with Vars six tape nodes a step and one
+    for the window loss. The iterate and state come back as plain arrays."""
+    cell = lambda p: [fused[p + kind] for kind in ("wx", "wh", "bx", "bh")]
+    fs, x = [problem.eval_terms(x_col)], x_col
+    for j in range(window):
+        y_rows = np.asarray(draw_fn(j, ad.value(x).reshape(-1)), dtype=np.float64)
+        spec = ad.lstm(preprocess_gradient(y_rows), state.spec, *cell("spec."))
+        shared = ad.lstm(ad.concat_h(spec), state.shared, *cell("shared."))
+        x = ad.sub_scaled(x, ad.head(shared, fused["head.w"], fused["head.b"]), alpha)
+        state = Ml2oState(spec, shared)
+        fs.append(problem.eval_terms(x))
+    return ad.window_loss(fs), ad.value(x), Ml2oState(ad.value(state.spec), ad.value(state.shared))
+
+
+def run_window(unroll, case, taped=True):
+    """The loss, gradients (fused names and checkpoint aliases; none untaped),
+    final iterate and state of one window through ``unroll``, and each step's
+    worst objective."""
     steps, dim, hidden, curvature, start, draws, seed = WINDOW_CASES[case]
     rng = np.random.default_rng(seed)
     prob = (make_quadratic_pair(dim, seed=seed + 5, noise_sigma=0.1) if curvature == "identity"
@@ -390,18 +407,20 @@ def run_window(unroll, case):
 
     store = store_from_params(init_params(2, hidden, seed))
     tape = ad.Tape()
-    leafs = {name: tape.param(store, name) for name in store.names()}
+    leafs = {name: tape.param(store, name) if taped else store.params[name]
+             for name in store.names()}
     mean, x, state = unroll(prob, x0, state, leafs, steps, 0.35, draw)
-    ad.backward(tape, mean)
-    losses = np.array([prob.eval(v) for v in [*iterates, ad.value(x).reshape(-1)]])
+    if taped:
+        ad.backward(tape, mean)
+    losses = np.array([prob.eval(v) for v in [*iterates, x.reshape(-1)]])
     worst = np.argmax(losses[1:] - losses[:-1], axis=1)
-    return float(ad.value(mean)), store.grads, ad.value(x), state.detached(), worst
+    return float(ad.value(mean)), store.grads, x, state, worst
 
 
 @pytest.mark.parametrize("case", WINDOW_CASES)
 def test_window_node_equals_the_per_step_chain_bitwise(case):
     loss, grads, x, state, worst = run_window(unroll_window, case)
-    ref_loss, ref_grads, ref_x, ref_state, _ = run_window(ml2o._unroll_steps, case)
+    ref_loss, ref_grads, ref_x, ref_state, _ = run_window(unroll_steps, case)
     assert loss == ref_loss
     # the fused names and the checkpoint aliases (whose head.w and head.b are the fused ones)
     assert len(grads) == 10 + 3 * 4 * len(GATES)
@@ -413,6 +432,32 @@ def test_window_node_equals_the_per_step_chain_bitwise(case):
     assert np.array_equal(state.shared, ref_state.shared)
     if case == "shared-worst":  # f_k's adjoint is zero where worst[k] == worst[k - 1]
         assert np.any(worst[1:] == worst[:-1]) and np.any(worst[1:] != worst[:-1])
+
+
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_plain_window_equals_the_per_step_chain_bitwise(case):
+    """With plain leaves, the per-step chain's loss, iterate and state, and the taped window's."""
+    loss, _, x, state, _ = run_window(unroll_window, case, taped=False)
+    ref_loss, _, ref_x, ref_state, _ = run_window(unroll_steps, case, taped=False)
+    assert (loss, x.tobytes()) == (ref_loss, ref_x.tobytes())
+    assert np.array_equal(state.spec, ref_state.spec)
+    assert np.array_equal(state.shared, ref_state.shared)
+    taped_loss, _, taped_x, _, _ = run_window(unroll_window, case)
+    assert (loss, x.tobytes()) == (taped_loss, taped_x.tobytes())
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["plain", "taped"])
+def test_unroll_window_rejects_a_non_quadratic_problem(taped):
+    prob = small_mtl()
+    store = store_from_params(init_params(2, 3, seed=0))
+    tape = ad.Tape()
+    leafs = {name: tape.param(store, name) if taped else store.params[name]
+             for name in store.names()}
+    x0 = np.random.default_rng(0).normal(scale=0.5, size=(prob.dim, 1))
+    with pytest.raises(UnsupportedCapability, match="tape-differentiable"):
+        unroll_window(prob, x0, init_state(2, 3, prob.dim), leafs, 4, 0.1,
+                      lambda j, xv: prob.full_jacobian(xv))
+    assert len(tape.nodes) == 10 * taped
 
 
 def test_dropped_window_tape_is_freed_without_the_cycle_collector():
