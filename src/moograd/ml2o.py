@@ -125,8 +125,8 @@ class Ml2oState:
     cells and ``shared`` (2, ..., N, M * H) of the shared cell. Leading axes,
     such as a population's P, stack independent states."""
 
-    spec: object
-    shared: object
+    spec: np.ndarray
+    shared: np.ndarray
 
 
 def init_state(m: int, hidden: int, n_coords: int, lead: tuple[int, ...] = ()) -> Ml2oState:
@@ -220,8 +220,6 @@ def unroll_window(problem, x_col, state: Ml2oState, fused, window: int, alpha: f
     activations' derivatives and the losses' adjoints on the stacked steps,
     and each leaf's products as stacked matmuls, summed in reverse step order.
     """
-    if any(isinstance(v, ad.Var) for v in (x_col, state.spec, state.shared)):
-        raise TypeError("a window starts from a plain iterate and state")
     f0 = problem.eval_terms(x_col)
     centers, mats = problem.centers, problem.mats
     (spec_wx, spec_wh, spec_bx, spec_bh, sh_wx, sh_wh, sh_bx, sh_bh,
